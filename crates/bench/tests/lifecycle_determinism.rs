@@ -10,6 +10,13 @@
 //! destination and the time-series collector are all process-global,
 //! so separate `#[test]`s would race under the parallel test harness.
 //!
+//! The serial trace is also pinned across commits: its line count,
+//! per-kind event counts and a 64-bit FNV-1a digest are compared with
+//! `tests/golden/lifecycle_trace_tiny.txt`, so a refactor of the engine
+//! that reorders, adds or drops a single event fails here. Set
+//! `MMOG_UPDATE_GOLDEN=1` to regenerate after a deliberate
+//! trace-changing commit.
+//!
 //! The mini-suite is chosen to exercise every terminal cause family:
 //! fig08 drives plain dynamic provisioning (surplus/reshape/run_end
 //! releases), fig_faults adds fault-plane revocations and center-down
@@ -18,6 +25,7 @@
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
 use mmog_obs_analyze::{analyze_lifecycle, check_lifecycle, render_lifecycle, trace_diff};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -64,6 +72,56 @@ fn traced_pass(opts: &RunOpts, trace_path: &PathBuf, ts_dir: &Path) -> (String, 
     (trace, docs)
 }
 
+/// 64-bit FNV-1a over the trace bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Renders the trace fingerprint: line count, per-kind counts in kind
+/// order, and the FNV-1a digest of the whole file.
+fn trace_fingerprint(trace: &str) -> String {
+    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
+    let mut lines = 0usize;
+    for line in trace.lines() {
+        lines += 1;
+        let value = mmog_obs::json::parse(line).expect("trace line parses");
+        let kind = value
+            .get("kind")
+            .and_then(mmog_obs::json::Value::as_str)
+            .expect("trace line has a kind");
+        *kinds.entry(kind.to_string()).or_default() += 1;
+    }
+    let mut out = format!("lines {lines}\n");
+    for (kind, n) in &kinds {
+        out.push_str(&format!("kind {kind} {n}\n"));
+    }
+    out.push_str(&format!("fnv1a64 {:016x}\n", fnv1a64(trace.as_bytes())));
+    out
+}
+
+/// Compares the trace fingerprint with the committed golden fixture,
+/// or rewrites the fixture under `MMOG_UPDATE_GOLDEN`.
+fn check_trace_golden(trace: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/lifecycle_trace_tiny.txt");
+    let actual = trace_fingerprint(trace);
+    if std::env::var_os("MMOG_UPDATE_GOLDEN").is_some() {
+        fs::write(&path, &actual).expect("write golden fixture");
+        return;
+    }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {}: {e}; run once with MMOG_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        expected, actual,
+        "mini-suite trace must stay byte-identical to the committed fingerprint"
+    );
+}
+
 #[test]
 fn lease_lifecycles_reconstruct_fully_across_jobs() {
     let baseline_jobs = mmog_par::jobs();
@@ -97,6 +155,9 @@ fn lease_lifecycles_reconstruct_fully_across_jobs() {
             d.message()
         );
     }
+
+    // The serial trace matches the fingerprint pinned across commits.
+    check_trace_golden(&trace_serial);
 
     // Every lease reconstructs: the causality invariants hold (every
     // grant has a request, no orphan terminals, no reused keys) and
