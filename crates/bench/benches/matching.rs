@@ -4,15 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmog_datacenter::locations::table3_hp12;
-use mmog_datacenter::matching::{match_request, match_request_indexed, CandidateIndex};
+use mmog_datacenter::matching::{
+    match_request, match_request_indexed_into, CandidateIndex, MatchOutcome,
+};
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::ResourceVector;
+use mmog_datacenter::topology::Topology;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::SimTime;
 use std::hint::black_box;
 
 fn bench_match(c: &mut Criterion) {
+    let topo = Topology::new(table3_hp12().len());
     let mut group = c.benchmark_group("match_request");
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
@@ -26,7 +30,7 @@ fn bench_match(c: &mut Criterion) {
                         GeoPoint::new(52.37, 4.90),
                         tolerance,
                     );
-                    black_box(match_request(&mut centers, &req, SimTime::ZERO))
+                    black_box(match_request(&topo, &mut centers, &req, SimTime::ZERO))
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -36,6 +40,7 @@ fn bench_match(c: &mut Criterion) {
 }
 
 fn bench_match_indexed(c: &mut Criterion) {
+    let topo = Topology::new(table3_hp12().len());
     let mut group = c.benchmark_group("match_request_indexed");
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
@@ -43,6 +48,7 @@ fn bench_match_indexed(c: &mut Criterion) {
             // One long-lived index, as the provisioner holds: the
             // ranking phase amortises away, only the fill loop remains.
             let mut index = CandidateIndex::new(origin, tolerance);
+            let mut out = MatchOutcome::default();
             b.iter_batched(
                 table3_hp12,
                 |mut centers| {
@@ -52,12 +58,15 @@ fn bench_match_indexed(c: &mut Criterion) {
                         origin,
                         tolerance,
                     );
-                    black_box(match_request_indexed(
+                    match_request_indexed_into(
+                        &topo,
                         &mut index,
                         &mut centers,
                         &req,
                         SimTime::ZERO,
-                    ))
+                        &mut out,
+                    );
+                    black_box(out.grants.len())
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -86,6 +95,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
 
     let setup = |memo: bool| {
         let mut centers = table3_hp12();
+        let topo = Topology::new(centers.len());
         let mut p = GroupProvisioner::new(
             OperatorId(1),
             GeoPoint::new(52.37, 4.90),
@@ -99,26 +109,27 @@ fn bench_memo_adjust(c: &mut Criterion) {
         // first tick grants, the rest are no-ops.
         for t in 0..4u64 {
             let target = p.observe_and_target(1500.0);
-            p.adjust(&target, &mut centers, SimTime(t));
+            p.adjust(&topo, &target, &mut centers, SimTime(t));
         }
         let target = p.observe_and_target(1500.0);
         (p, centers, target)
     };
+    let topo = Topology::new(table3_hp12().len());
 
     let mut group = c.benchmark_group("steady_state_adjust");
     let (mut p, mut centers, target) = setup(true);
     group.bench_function("memo_hit", |b| {
-        b.iter(|| black_box(p.adjust(black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
     });
     assert!(
-        p.adjust(&target, &mut centers, SimTime(4)).replayed,
+        p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed,
         "memo bench must measure the replay path"
     );
     let (mut p, mut centers, target) = setup(false);
     group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
     });
-    assert!(!p.adjust(&target, &mut centers, SimTime(4)).replayed);
+    assert!(!p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed);
     group.finish();
 }
 

@@ -10,7 +10,7 @@
 use crate::demand::DemandModel;
 use mmog_datacenter::center::{availability_epoch, DataCenter, Lease, LeaseId};
 use mmog_datacenter::matching::{
-    match_request_indexed_into_via, CandidateIndex, MatchMemo, MatchOutcome, RejectionTotals,
+    match_request_indexed_into, CandidateIndex, MatchMemo, MatchOutcome, RejectionTotals,
 };
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::ResourceVector;
@@ -211,11 +211,11 @@ pub struct GroupProvisioner {
     /// keyed on the center count. Policies are static for a run, so
     /// this is computed at most once per platform.
     finest_bulks: Option<(usize, [Option<f64>; 4])>,
-    /// When set (the default), [`adjust_via`] replays memoized no-op
+    /// When set (the default), [`adjust`] replays memoized no-op
     /// steps instead of re-running the full pipeline. Tests flip this
     /// off to compare the memoized path against the full walk.
     ///
-    /// [`adjust_via`]: Self::adjust_via
+    /// [`adjust`]: Self::adjust
     pub memo_enabled: bool,
     /// Memoized proof that the previous step was a no-op, and the keys
     /// it depends on.
@@ -240,13 +240,13 @@ pub struct GroupProvisioner {
     /// [`record_matches`]: Self::record_matches
     detail: LifecycleDetail,
     /// Earliest `earliest_release` across held leases not yet flagged
-    /// `matured` — the watermark that lets [`adjust_via`] skip the
+    /// `matured` — the watermark that lets [`adjust`] skip the
     /// per-step maturity scan until something can actually mature.
     /// May be stale after a release/revocation (the removed lease's
     /// time survives here), which only costs one harmless empty scan.
     /// Only maintained while [`record_matches`] is set.
     ///
-    /// [`adjust_via`]: Self::adjust_via
+    /// [`adjust`]: Self::adjust
     /// [`record_matches`]: Self::record_matches
     next_maturity: Option<SimTime>,
 }
@@ -438,26 +438,13 @@ impl GroupProvisioner {
     }
 
     /// Adjusts held leases towards `target`: releases matured leases
-    /// wholly contained in the surplus, then requests any deficit.
+    /// wholly contained in the surplus, then requests any deficit
+    /// through `topology` (partitioned centers are unreachable and
+    /// degraded links inflate effective distances; a nominal
+    /// [`Topology::new`] matches exactly like the bare platform).
     pub fn adjust(
         &mut self,
-        target: &ResourceVector,
-        centers: &mut [DataCenter],
-        now: SimTime,
-    ) -> AdjustOutcome {
-        self.adjust_via(None, target, centers, now)
-    }
-
-    /// Like [`adjust`], but matches the deficit through `topology` when
-    /// one is installed: partitioned centers are unreachable and
-    /// degraded links inflate effective distances. `adjust(..)` is
-    /// exactly `adjust_via(None, ..)`, so runs without a scenario take
-    /// the identical code path they always did.
-    ///
-    /// [`adjust`]: Self::adjust
-    pub fn adjust_via(
-        &mut self,
-        topology: Option<&Topology>,
+        topology: &Topology,
         target: &ResourceVector,
         centers: &mut [DataCenter],
         now: SimTime,
@@ -498,7 +485,7 @@ impl GroupProvisioner {
         // every side effect it would not have (no sort, no release, no
         // matcher call, no event).
         let epoch = availability_epoch();
-        let topo_version = topology.map(Topology::version);
+        let topo_version = topology.version();
         if self.memo_enabled
             && self
                 .memo
@@ -643,7 +630,7 @@ impl GroupProvisioner {
             }
             let request = ResourceRequest::new(self.operator, deficit, self.origin, self.tolerance);
             let mut matched = std::mem::take(&mut self.match_scratch);
-            match_request_indexed_into_via(
+            match_request_indexed_into(
                 topology,
                 &mut self.index,
                 centers,
@@ -726,7 +713,7 @@ impl GroupProvisioner {
         outcome: &AdjustOutcome,
         target: &ResourceVector,
         epoch: u64,
-        topo_version: Option<u64>,
+        topo_version: u64,
         now: SimTime,
     ) {
         // A step arms the memo when it left the group whole: fully
@@ -830,6 +817,10 @@ mod tests {
         })]
     }
 
+    fn nominal(centers: &[DataCenter]) -> Topology {
+        Topology::new(centers.len())
+    }
+
     fn provisioner() -> GroupProvisioner {
         GroupProvisioner::new(
             OperatorId(1),
@@ -846,7 +837,7 @@ mod tests {
         let mut centers = one_center(HostingPolicy::hp(5));
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        let out = p.adjust(&target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, SimTime::ZERO);
         assert!(out.granted > 0);
         assert!(!out.unmet);
         assert!(
@@ -860,17 +851,17 @@ mod tests {
         let mut centers = one_center(HostingPolicy::hp(5)); // 180-min bulk
         let mut p = provisioner();
         let high = p.demand_model.demand(2000.0);
-        p.adjust(&high, &mut centers, SimTime::ZERO);
+        p.adjust(&nominal(&centers), &high, &mut centers, SimTime::ZERO);
         let held_at_peak = p.allocated();
         // Demand collapses; before the bulk matures nothing can go.
         let low = p.demand_model.demand(200.0);
         let early = SimTime::from_minutes(60);
-        let out = p.adjust(&low, &mut centers, early);
+        let out = p.adjust(&nominal(&centers), &low, &mut centers, early);
         assert_eq!(out.released, 0);
         assert_eq!(p.allocated(), held_at_peak);
         // After maturity the surplus leases drop.
         let late = SimTime::from_minutes(200);
-        let out = p.adjust(&low, &mut centers, late);
+        let out = p.adjust(&nominal(&centers), &low, &mut centers, late);
         assert!(out.released > 0);
         assert!(p.allocated().cpu < held_at_peak.cpu);
         // Still covering the low target.
@@ -883,7 +874,7 @@ mod tests {
         centers[0].spec.machines = 1; // 1.2 CPU units total
         let mut p = provisioner();
         let target = p.demand_model.demand(4000.0); // 4 CPU units
-        let out = p.adjust(&target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, SimTime::ZERO);
         assert!(out.unmet);
         assert!(p.allocated().cpu < target.cpu);
     }
@@ -920,11 +911,11 @@ mod tests {
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&nominal(&centers), &target, &mut centers, now);
         let after_first = p.lease_count();
         for _ in 0..10 {
             now += SimDuration::TICK;
-            let out = p.adjust(&target, &mut centers, now);
+            let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
             assert_eq!(out.granted, 0, "stable target must not re-request");
             assert_eq!(out.released, 0);
         }
@@ -990,7 +981,7 @@ mod tests {
         let mut centers = one_center(HostingPolicy::hp(5));
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&target, &mut centers, SimTime::ZERO);
+        p.adjust(&nominal(&centers), &target, &mut centers, SimTime::ZERO);
         let held = p.allocated();
         assert!(held.cpu > 0.0);
         let dropped = p.drop_leases_at_center(0);
@@ -1013,33 +1004,42 @@ mod tests {
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         // First attempt fails and arms a 1-tick backoff.
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         assert!(out.rejections.total() > 0);
         // Next tick is within the backoff window → deferred, no matcher
         // call (no new rejections).
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
         assert!(out.deferred && !out.unmet);
         assert_eq!(out.rejections.total(), 0);
         // Consecutive failures stretch the window exponentially: after
         // the second real failure the wait is 2 ticks.
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).deferred);
+        assert!(
+            p.adjust(&nominal(&centers), &target, &mut centers, now)
+                .deferred
+        );
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).deferred);
+        assert!(
+            p.adjust(&nominal(&centers), &target, &mut centers, now)
+                .deferred
+        );
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).unmet);
+        assert!(
+            p.adjust(&nominal(&centers), &target, &mut centers, now)
+                .unmet
+        );
         // Capacity returns → request succeeds and the backoff resets.
         centers[0].spec.machines = 20;
         now += SimDuration(RetryPolicy::default().max_backoff_ticks);
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
         assert!(out.granted > 0 && !out.unmet);
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
         assert!(!out.deferred, "met request resets the backoff");
     }
 
@@ -1062,13 +1062,13 @@ mod tests {
         let mut centers = one_center(HostingPolicy::hp(1));
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&target, &mut centers, SimTime::ZERO);
+        p.adjust(&nominal(&centers), &target, &mut centers, SimTime::ZERO);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
         // Demand halves; even after the time bulk, inbound stays at 6
         // because releasing the bundle would drop CPU below target.
         let lower = p.demand_model.demand(1200.0);
         let later = SimTime::from_hours(7);
-        p.adjust(&lower, &mut centers, later);
+        p.adjust(&nominal(&centers), &lower, &mut centers, later);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
     }
 
@@ -1082,13 +1082,19 @@ mod tests {
             let mut p = provisioner();
             let target = p.demand_model.demand(1000.0);
             let epoch = availability_epoch();
-            let first = p.adjust(&target, &mut centers, SimTime::ZERO);
+            let first = p.adjust(&nominal(&centers), &target, &mut centers, SimTime::ZERO);
             assert!(!first.replayed, "a granting step cannot be a replay");
             // The granting walk itself proves phases 1/1b inert (no
             // matured leases, sorted ledger), so post-mutation arming
             // lets every later stable tick replay without a walk.
-            let second = p.adjust(&target, &mut centers, SimTime::ZERO + SimDuration::TICK);
+            let second = p.adjust(
+                &nominal(&centers),
+                &target,
+                &mut centers,
+                SimTime::ZERO + SimDuration::TICK,
+            );
             let third = p.adjust(
+                &nominal(&centers),
                 &target,
                 &mut centers,
                 SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
@@ -1116,7 +1122,7 @@ mod tests {
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
-            let out = p.adjust(&target, &mut centers, now);
+            let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
             assert!(!out.replayed);
             now += SimDuration::TICK;
         }
@@ -1128,15 +1134,15 @@ mod tests {
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&nominal(&centers), &target, &mut centers, now);
         now += SimDuration::TICK;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&nominal(&centers), &target, &mut centers, now);
         // A genuinely larger target has a non-negligible deficit: the
         // fast path must step aside and the full walk must grant.
         let gen = p.lease_generation();
         let bigger = p.demand_model.demand(4000.0);
         now += SimDuration::TICK;
-        let out = p.adjust(&bigger, &mut centers, now);
+        let out = p.adjust(&nominal(&centers), &bigger, &mut centers, now);
         assert!(!out.replayed);
         assert!(out.granted > 0);
         assert_ne!(p.lease_generation(), gen, "grants bump the ledger gen");

@@ -4,6 +4,7 @@ use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
+use mmog_datacenter::topology::Topology;
 use mmog_predict::simple::LastValue;
 use mmog_sim::demand::DemandModel;
 use mmog_sim::metrics::MetricsCollector;
@@ -24,6 +25,10 @@ fn one_center(machines: u32, hp: usize) -> Vec<DataCenter> {
         machine_capacity: DataCenterSpec::default_machine_capacity(),
         policy: HostingPolicy::hp(hp),
     })]
+}
+
+fn nominal(centers: &[DataCenter]) -> Topology {
+    Topology::new(centers.len())
 }
 
 fn provisioner(model: UpdateModel) -> GroupProvisioner {
@@ -66,7 +71,7 @@ proptest! {
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            p.adjust(&target, &mut centers, now);
+            p.adjust(&nominal(&centers), &target, &mut centers, now);
             // The center's ledger for this operator must equal the
             // provisioner's own bookkeeping.
             let held = centers[0].held_by(OperatorId(1));
@@ -93,7 +98,7 @@ proptest! {
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            let out = p.adjust(&target, &mut centers, now);
+            let out = p.adjust(&nominal(&centers), &target, &mut centers, now);
             prop_assert!(!out.unmet);
             prop_assert!(
                 target.fits_within(&p.allocated(), 1e-6),
@@ -147,8 +152,8 @@ proptest! {
             let t_on = p_on.observe_and_target(players);
             let t_off = p_off.observe_and_target(players);
             prop_assert_eq!(format!("{t_on:?}"), format!("{t_off:?}"));
-            let o_on = p_on.adjust(&t_on, &mut centers_on, now);
-            let o_off = p_off.adjust(&t_off, &mut centers_off, now);
+            let o_on = p_on.adjust(&nominal(&centers_on), &t_on, &mut centers_on, now);
+            let o_off = p_off.adjust(&nominal(&centers_off), &t_off, &mut centers_off, now);
             prop_assert!(!o_off.replayed, "memo disabled yet replayed");
             replays += u32::from(o_on.replayed);
             // Same outcome, modulo the diagnostic replay flag.
