@@ -10,9 +10,10 @@
 //!
 //! A [`Topology`] is **per-simulation** state (not process-global like
 //! the availability epoch): two concurrent simulations may hold
-//! disjoint topologies. Runs without a scenario never construct one and
-//! take the literal pre-topology code path in
-//! [`crate::matching`].
+//! disjoint topologies. Runs without a scenario keep theirs nominal
+//! ([`Topology::new`]: fully connected, unit link factors), which
+//! [`crate::matching`] evaluates exactly like the static clique — every
+//! distance is multiplied by exactly 1.0 and every center is reachable.
 //!
 //! # Model
 //!
@@ -42,6 +43,8 @@ pub struct Topology {
     /// Partition component label per center; equal labels ⇒ reachable.
     component: Vec<u32>,
     /// Symmetric `n × n` distance multipliers, row-major, default 1.0.
+    /// Empty until the first link change, so a nominal topology — the
+    /// one every scenario-free run matches through — holds no matrix.
     factor: Vec<f64>,
     /// Bumped on every mutation; cached matcher views compare it.
     version: u64,
@@ -53,7 +56,7 @@ impl Topology {
     pub fn new(n: usize) -> Self {
         Self {
             component: vec![0; n],
-            factor: vec![1.0; n * n],
+            factor: Vec::new(),
             version: 0,
         }
     }
@@ -139,6 +142,9 @@ impl Topology {
         } else {
             1.0
         };
+        if self.factor.is_empty() {
+            self.factor = vec![1.0; n * n];
+        }
         self.factor[a * n + b] = f;
         self.factor[b * n + a] = f;
         self.version += 1;
@@ -152,7 +158,7 @@ impl Topology {
         if a == b || a >= n || b >= n {
             return 1.0;
         }
-        self.factor[a * n + b]
+        self.factor.get(a * n + b).copied().unwrap_or(1.0)
     }
 
     /// Effective matching distance from a request whose nearest center

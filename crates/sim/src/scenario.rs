@@ -7,7 +7,7 @@
 //! American subset with policies coarsening towards the East Coast;
 //! V-F the multi-MMOG workload mix.
 
-use crate::engine::{AllocationMode, GameSpec, SimulationConfig};
+use crate::engine::{AllocationMode, GameSpec, GameWorkload, SimulationConfig};
 use mmog_datacenter::center::DataCenter;
 use mmog_datacenter::locations::{table3_centers, table3_hp12};
 use mmog_datacenter::policy::HostingPolicy;
@@ -85,16 +85,7 @@ pub fn standard_trace(opts: &ScenarioOpts) -> GameTrace {
 }
 
 fn base_game(
-    trace: GameTrace,
-    predictor: PredictorKind,
-    update_model: UpdateModel,
-    tolerance: DistanceClass,
-) -> GameSpec {
-    base_game_with(trace.into(), predictor, update_model, tolerance)
-}
-
-fn base_game_with(
-    workload: crate::engine::GameWorkload,
+    workload: impl Into<GameWorkload>,
     predictor: PredictorKind,
     update_model: UpdateModel,
     tolerance: DistanceClass,
@@ -106,7 +97,7 @@ fn base_game_with(
         tolerance,
         headroom: 1.0,
         predictor,
-        workload,
+        workload: workload.into(),
         static_peak_players: 2100.0, // capacity x the 1.05 overfull clamp
         priority: 0,
     }
@@ -139,14 +130,7 @@ pub fn prediction_impact(
     mode: AllocationMode,
     opts: &ScenarioOpts,
 ) -> SimulationConfig {
-    let trace = standard_trace(opts);
-    let game = base_game(
-        trace,
-        predictor,
-        UpdateModel::Quadratic,
-        DistanceClass::VeryFar,
-    );
-    base_sim(table3_hp12(), vec![game], mode, opts)
+    prediction_impact_with_workload(predictor, mode, opts, standard_trace(opts).into())
 }
 
 /// [`prediction_impact`] with a caller-supplied workload: the same
@@ -160,9 +144,9 @@ pub fn prediction_impact_with_workload(
     predictor: PredictorKind,
     mode: AllocationMode,
     opts: &ScenarioOpts,
-    workload: crate::engine::GameWorkload,
+    workload: GameWorkload,
 ) -> SimulationConfig {
-    let game = base_game_with(
+    let game = base_game(
         workload,
         predictor,
         UpdateModel::Quadratic,
