@@ -214,32 +214,25 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// Runs one sweep point: builds every world's streaming configuration
 /// and fans the runs across the parallel layer. World order (and so the
-/// semantic section) is independent of `--jobs`.
-///
-/// Resets the process-global latency registry first so each point's
-/// snapshot covers exactly its own worlds — callers interleaving other
-/// instrumented work with a sweep should snapshot before calling.
+/// semantic section) is independent of `--jobs`. Latency and memo
+/// counts come from the worlds' own reports, so concurrent work
+/// elsewhere in the process never leaks into the point.
 #[must_use]
 pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointResult {
     let worlds: Vec<usize> = (0..point.worlds).collect();
-    mmog_obs::reset_latency();
-    // Counters are process-global and cumulative: deltas around the
-    // point isolate this point's skip activity.
-    let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Timing);
-    let c_full = mmog_obs::counter("sim.match.full", mmog_obs::Domain::Timing);
-    let skips_before = c_skips.get();
-    let full_before = c_full.get();
     let start = std::time::Instant::now();
     let reports = mmog_par::par_map(&worlds, |&w| {
         Simulation::new(world_config(point, w, ticks, master_seed)).run()
     });
     let seconds = start.elapsed().as_secs_f64();
-    let match_skips = c_skips.get().wrapping_sub(skips_before);
-    let match_full = c_full.get().wrapping_sub(full_before);
-    let latency = mmog_obs::snapshot_latency()
-        .into_iter()
-        .filter(|(path, snap)| path.starts_with("sim/run/") && snap.count > 0)
-        .collect();
+    let mut latency: Vec<(String, mmog_obs::LatencySnapshot)> = Vec::new();
+    for (path, snap) in reports.iter().flat_map(|r| &r.timing.latency) {
+        match latency.iter_mut().find(|(p, _)| p == path) {
+            Some((_, merged)) => *merged = merged.merge(snap),
+            None => latency.push((path.clone(), snap.clone())),
+        }
+    }
+    latency.retain(|(_, snap)| snap.count > 0);
     let worlds = reports
         .iter()
         .enumerate()
@@ -252,8 +245,8 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointRes
         peak_rss_kb: peak_rss_kb(),
         worlds,
         latency,
-        match_skips,
-        match_full,
+        match_skips: reports.iter().map(|r| r.timing.match_skips).sum(),
+        match_full: reports.iter().map(|r| r.timing.match_full).sum(),
     }
 }
 

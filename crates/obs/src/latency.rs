@@ -126,8 +126,28 @@ impl LatencyHisto {
     /// any worker thread (all updates are commutative).
     pub fn record(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        // Saturating CAS add: a run long enough to overflow u64 total
-        // nanoseconds must pin the sum rather than wrap the mean.
+        self.add_sum(ns);
+        self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// Adds every sample of `snap`, as if each had been recorded here.
+    /// Lock-free; a run folds its own histograms into the process
+    /// registry this way when it ends.
+    pub fn merge_snapshot(&self, snap: &LatencySnapshot) {
+        for (bucket, &n) in self.buckets.iter().zip(&snap.counts) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.add_sum(snap.sum_ns);
+        if let (Some(min), Some(max)) = (snap.min_ns, snap.max_ns) {
+            self.min_ns.fetch_min(min, Ordering::Relaxed);
+            self.max_ns.fetch_max(max, Ordering::Relaxed);
+        }
+    }
+
+    /// Saturating CAS add: a run long enough to overflow u64 total
+    /// nanoseconds must pin the sum rather than wrap the mean.
+    fn add_sum(&self, ns: u64) {
         let mut sum = self.sum_ns.load(Ordering::Relaxed);
         loop {
             let next = sum.saturating_add(ns);
@@ -139,8 +159,6 @@ impl LatencyHisto {
                 Err(seen) => sum = seen,
             }
         }
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the histogram state.
@@ -407,8 +425,7 @@ pub fn snapshot_latency() -> Vec<(String, LatencySnapshot)> {
 }
 
 /// Zeroes every interned latency histogram; paths and cached handles
-/// stay valid. Sweep harnesses reset between points so each point
-/// reports its own distribution.
+/// stay valid.
 pub fn reset_latency() {
     for h in lock().values() {
         h.reset();
@@ -500,6 +517,24 @@ mod tests {
         }
         assert_eq!(a.snapshot().merge(&b.snapshot()), all.snapshot());
         assert_eq!(b.snapshot().merge(&a.snapshot()), all.snapshot());
+    }
+
+    #[test]
+    fn merge_snapshot_equals_recording() {
+        let run = LatencyHisto::new();
+        let process = LatencyHisto::new();
+        let all = LatencyHisto::new();
+        for v in [3u64, 17, 17, 250, 9_000, 1_000_000] {
+            all.record(v);
+            if v < 100 {
+                process.record(v);
+            } else {
+                run.record(v);
+            }
+        }
+        process.merge_snapshot(&LatencyHisto::new().snapshot());
+        process.merge_snapshot(&run.snapshot());
+        assert_eq!(process.snapshot(), all.snapshot());
     }
 
     #[test]

@@ -1,234 +1,24 @@
-//! Streaming trace generation: the materialized generator, one tick at
-//! a time.
+//! Streaming trace generation: the RuneScape model driven tick-major.
 //!
 //! [`crate::runescape::generate`] materialises every server group's full
 //! series before anything can consume it — fine for the paper's ~130
 //! groups × two weeks (≈10 MB), fatal at thousands of groups / millions
-//! of synthetic players. [`StreamingTrace`] replays the *same* random
-//! protocol lazily: construction performs exactly the seed-expansion
-//! splits of the materialized path (one region stream, then one group
-//! stream per group, in enumeration order), and [`StreamingTrace::next_tick`]
-//! advances every group by one tick using O(1) state per group —
-//! the AR(1) noise register, the outage countdown, and two small
-//! fixed-capacity episode buffers whose maximum size is set by the
-//! generator's own ramp/hold bounds, not by the trace length.
-//!
-//! # Byte-identity contract
-//!
-//! For every configuration, the stream of values produced group by
-//! group, tick by tick, is **bit-identical** to the materialized
-//! series: the per-tick RNG draws happen in the same order on the same
-//! per-group streams, episode levels are computed with the same float
-//! operations, and episode-start probabilities are evaluated at the
-//! same tick indices (a chance draw happens exactly when the episode
-//! buffer is empty, which mirrors the materialized `while` loop that
-//! jumps `t` past each episode). `tests::streaming_matches_materialized`
-//! and the bench crate's paper-scale determinism test pin this down.
+//! of synthetic players. [`StreamingTrace`] drives the same per-region
+//! and per-group state machines one tick at a time instead: each
+//! [`StreamingTrace::next_tick`] advances every group by one tick with
+//! O(1) state per group — the AR(1) noise register, the outage
+//! countdown, and two small fixed-capacity episode buffers whose size is
+//! set by the model's own ramp/hold bounds, not by the trace length.
+//! Each stream owns its RNG, so the order in which the two drivers
+//! visit the streams does not change a single value.
 //!
 //! # Steady-state allocation
 //!
 //! All buffers are sized at construction; `next_tick` performs no
 //! allocation (asserted by `crates/bench/tests/alloc_smoke.rs`).
 
-use crate::events::{combined_multiplier, PopulationEvent};
-use crate::runescape::{RegionSpec, RuneScapeConfig};
-use mmog_util::rng::Rng64;
+use crate::runescape::{region_streams, RegionStream, RuneScapeConfig};
 use mmog_util::time::{SimTime, TICKS_PER_DAY};
-
-/// Maximum length of a regional surge episode: ramp ≤ 4 (`range_u64(1,
-/// 5)`), hold ≤ 60 (`range_u64(10, 61)`), so `2·ramp + hold ≤ 68`.
-const REGION_EPISODE_CAP: usize = 2 * 4 + 60;
-
-/// Maximum length of a group flash episode: ramp ≤ 8 (`range_u64(3,
-/// 9)`), hold ≤ 60, so `2·ramp + hold ≤ 76`.
-const FLASH_EPISODE_CAP: usize = 2 * 8 + 60;
-
-/// Streaming counterpart of `runescape::episode_series`: the same RNG
-/// draws on the same stream, but the episode's level sequence is staged
-/// in a fixed-capacity buffer instead of a trace-length vector.
-#[derive(Debug, Clone)]
-struct EpisodeStream {
-    rng: Rng64,
-    lo: f64,
-    hi: f64,
-    /// Pending episode levels; `cursor..levels.len()` is still to serve.
-    levels: Vec<f64>,
-    cursor: usize,
-}
-
-impl EpisodeStream {
-    fn new(rng: Rng64, lo: f64, hi: f64, cap: usize) -> Self {
-        Self {
-            rng,
-            lo,
-            hi,
-            levels: Vec::with_capacity(cap),
-            cursor: 0,
-        }
-    }
-
-    /// The boost level at the next tick (calls must be made for `t = 0,
-    /// 1, 2, …` in order); `prob` is the caller-evaluated per-tick
-    /// episode-start probability at that tick.
-    fn next(&mut self, prob: f64) -> f64 {
-        if self.cursor < self.levels.len() {
-            let v = self.levels[self.cursor];
-            self.cursor += 1;
-            return v;
-        }
-        // Outside an episode: the materialized loop draws `chance` at
-        // exactly these tick indices (it jumps `t` past each episode).
-        if self.rng.chance(prob) {
-            let magnitude = self.rng.range_f64(self.lo, self.hi)
-                * if self.rng.chance(0.6) { 1.0 } else { -1.0 };
-            let ramp = self.rng.range_u64(1, 5) as usize;
-            let hold = self.rng.range_u64(10, 61) as usize;
-            let mut level = 0.0;
-            let step = magnitude / ramp as f64;
-            self.levels.clear();
-            self.cursor = 0;
-            for phase in 0..(2 * ramp + hold) {
-                if phase < ramp {
-                    level += step;
-                } else if phase >= ramp + hold {
-                    level -= step;
-                }
-                self.levels.push(level);
-            }
-            let v = self.levels[0];
-            self.cursor = 1;
-            v
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Per-group latent profile, sampled at construction exactly like the
-/// materialized generator's `GroupProfile`.
-#[derive(Debug, Clone)]
-struct GroupProfile {
-    popularity: f64,
-    always_full: bool,
-    weekend: bool,
-    phase_jitter: f64,
-}
-
-/// Streaming counterpart of one `generate_group` call: the per-tick
-/// loop body of the materialized generator, with the loop state kept
-/// between calls.
-#[derive(Debug, Clone)]
-struct GroupStream {
-    rng: Rng64,
-    profile: GroupProfile,
-    /// AR(1) noise register.
-    noise: f64,
-    /// Remaining outage ticks.
-    outage_left: u32,
-    /// Current flash boost and the reversed delta plan being consumed.
-    flash_boost: f64,
-    flash_plan: Vec<f64>,
-}
-
-impl GroupStream {
-    fn new(mut rng: Rng64, cfg: &RuneScapeConfig) -> Self {
-        // Identical draw order to the materialized GroupProfile sampling.
-        let profile = GroupProfile {
-            popularity: rng.triangular(0.55, 1.0, 0.85),
-            always_full: rng.chance(cfg.always_full_fraction),
-            weekend: rng.chance(cfg.weekend_fraction),
-            phase_jitter: rng.range_f64(-1.0, 1.0),
-        };
-        Self {
-            rng,
-            profile,
-            noise: 0.0,
-            outage_left: 0,
-            flash_boost: 0.0,
-            flash_plan: Vec::with_capacity(FLASH_EPISODE_CAP),
-        }
-    }
-
-    /// One tick of the materialized `generate_group` loop body.
-    #[allow(clippy::too_many_arguments)]
-    fn next(
-        &mut self,
-        tick: usize,
-        regional: f64,
-        spec: &RegionSpec,
-        events: &[PopulationEvent],
-        cfg: &RuneScapeConfig,
-        outage_prob_per_tick: f64,
-    ) -> f64 {
-        let t = SimTime(tick as u64);
-        if self.outage_left > 0 {
-            self.outage_left -= 1;
-            return 0.0;
-        }
-        if self.rng.chance(outage_prob_per_tick) {
-            self.outage_left = self.rng.range_u64(5, 31) as u32;
-            return 0.0;
-        }
-
-        if self.flash_plan.is_empty()
-            && self.flash_boost == 0.0
-            && self.rng.chance(cfg.flash_prob_per_tick)
-        {
-            let magnitude =
-                self.rng.range_f64(0.10, 0.25) * if self.rng.chance(0.6) { 1.0 } else { -1.0 };
-            let ramp = self.rng.range_u64(3, 9) as usize;
-            let hold = self.rng.range_u64(10, 61) as usize;
-            let step = magnitude / ramp as f64;
-            // Reversed delta plan (consumed back to front), exactly as
-            // the materialized generator builds it — but into the
-            // pre-sized buffer, so no steady-state allocation.
-            self.flash_plan.clear();
-            self.flash_plan.extend(std::iter::repeat_n(-step, ramp));
-            self.flash_plan.extend(std::iter::repeat_n(0.0, hold));
-            self.flash_plan.extend(std::iter::repeat_n(step, ramp));
-        }
-        if let Some(delta) = self.flash_plan.pop() {
-            self.flash_boost += delta;
-            if self.flash_plan.is_empty() {
-                self.flash_boost = 0.0; // cancel rounding drift
-            }
-        }
-
-        let event_mult = combined_multiplier(events, t);
-        let load = if self.profile.always_full {
-            0.95 * spec.peak_players * event_mult.min(1.05)
-        } else {
-            let local_hour = t.hour_of_day() + spec.utc_offset_hours + self.profile.phase_jitter;
-            let diurnal =
-                0.5 * (1.0 - (2.0 * std::f64::consts::PI * (local_hour - 7.0) / 24.0).cos());
-            let daily = (1.0 - cfg.diurnal_amplitude) + cfg.diurnal_amplitude * diurnal;
-            let weekend = if self.profile.weekend && t.is_weekend() {
-                1.2
-            } else {
-                1.0
-            };
-            let (rho, sigma) = (0.98, 0.015);
-            self.noise = rho * self.noise + sigma * self.rng.normal();
-            spec.peak_players
-                * self.profile.popularity
-                * daily
-                * weekend
-                * event_mult
-                * (1.0 + self.noise)
-                * (1.0 + self.flash_boost)
-                * (1.0 + regional)
-        };
-        load.clamp(0.0, spec.peak_players * 1.05).round()
-    }
-}
-
-/// One region's streams: the shared surge episode plus every group.
-#[derive(Debug, Clone)]
-struct RegionStream {
-    spec: RegionSpec,
-    episodes: EpisodeStream,
-    groups: Vec<GroupStream>,
-}
 
 /// The whole configuration as a lazy tick source.
 ///
@@ -243,40 +33,21 @@ pub struct StreamingTrace {
     ticks: usize,
     t: usize,
     group_count: usize,
-    outage_prob_per_tick: f64,
 }
 
 impl StreamingTrace {
-    /// Builds the per-region / per-group streams, performing exactly the
-    /// seed-expansion splits of [`crate::runescape::generate`].
+    /// Builds the per-region / per-group streams from the
+    /// configuration's seed, the same way [`crate::runescape::generate`]
+    /// does.
     #[must_use]
     pub fn new(cfg: &RuneScapeConfig) -> Self {
-        let mut rng = Rng64::seed_from(cfg.seed);
-        let ticks = (cfg.days * TICKS_PER_DAY) as usize;
-        let mut regions = Vec::with_capacity(cfg.regions.len());
-        let mut group_count = 0usize;
-        for spec in &cfg.regions {
-            let region_rng = rng.split();
-            let episodes = EpisodeStream::new(region_rng, 0.04, 0.13, REGION_EPISODE_CAP);
-            let mut groups = Vec::with_capacity(spec.groups as usize);
-            for _ in 0..spec.groups {
-                let group_rng = rng.split();
-                groups.push(GroupStream::new(group_rng, cfg));
-            }
-            group_count += groups.len();
-            regions.push(RegionStream {
-                spec: spec.clone(),
-                episodes,
-                groups,
-            });
-        }
+        let regions = region_streams(cfg);
         Self {
-            outage_prob_per_tick: cfg.outage_prob_per_day / TICKS_PER_DAY as f64,
+            group_count: regions.iter().map(|r| r.groups.len()).sum(),
+            ticks: (cfg.days * TICKS_PER_DAY) as usize,
             cfg: cfg.clone(),
             regions,
-            ticks,
             t: 0,
-            group_count,
         }
     }
 
@@ -323,27 +94,14 @@ impl StreamingTrace {
             out.len(),
             self.group_count
         );
-        let t = self.t;
+        let t = SimTime(self.t as u64);
         let mut gi = 0usize;
-        for region in &mut self.regions {
-            // Regional surge level first (shared by the region's groups),
-            // with the episode-start probability clustered at the
-            // region's peak hours — identical to the materialized
-            // closure passed to `episode_series`.
-            let offset = region.spec.utc_offset_hours;
-            let h = SimTime(t as u64).hour_of_day() + offset;
-            let diurnal = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos());
-            let prob = self.cfg.regional_flash_prob_per_tick * 2.0 * diurnal * diurnal;
-            let regional = region.episodes.next(prob);
+        for (region, spec) in self.regions.iter_mut().zip(&self.cfg.regions) {
+            // The regional surge level first: every group of the region
+            // feels it.
+            let regional = region.surge.next(t, spec, &self.cfg);
             for group in &mut region.groups {
-                out[gi] = group.next(
-                    t,
-                    regional,
-                    &region.spec,
-                    &self.cfg.events,
-                    &self.cfg,
-                    self.outage_prob_per_tick,
-                );
+                out[gi] = group.next(t, regional, spec, &self.cfg);
                 gi += 1;
             }
         }
@@ -355,8 +113,9 @@ impl StreamingTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runescape::generate;
+    use crate::runescape::{generate, FLASH_EPISODE_CAP, SURGE_EPISODE_CAP};
 
+    /// The tick-major driver yields `generate`'s group-major values.
     fn check_matches(cfg: &RuneScapeConfig) {
         let materialized = generate(cfg);
         let mut stream = StreamingTrace::new(cfg);
@@ -420,7 +179,7 @@ mod tests {
         let mut out = vec![0.0f64; stream.group_count()];
         while stream.next_tick(&mut out) {
             for region in &stream.regions {
-                assert!(region.episodes.levels.capacity() <= REGION_EPISODE_CAP);
+                assert!(region.surge.levels.capacity() <= SURGE_EPISODE_CAP);
                 for g in &region.groups {
                     assert!(g.flash_plan.capacity() <= FLASH_EPISODE_CAP);
                 }

@@ -479,11 +479,7 @@ impl GameEmulator {
     #[must_use]
     pub fn run_cached(cfg: EmulatorConfig, seed: u64, ticks: usize) -> Arc<EmulatorOutput> {
         static RUNS: Memo<EmulatorOutput> = Memo::new();
-        // The key carries the generation mode (this path materialises
-        // every snapshot): a hit can never hand a materialized run to a
-        // caller expecting streamed output, or vice versa, even if a
-        // streaming emulator entry point shares this memo later.
-        RUNS.get_or_build(&format!("materialized|{seed}|{ticks}|{cfg:?}"), || {
+        RUNS.get_or_build(&format!("{seed}|{ticks}|{cfg:?}"), || {
             Self::run(cfg, seed, ticks)
         })
     }
