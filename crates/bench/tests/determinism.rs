@@ -121,6 +121,12 @@ fn reports_identical_for_any_job_count() {
     // per-group streams hold no run-to-run state).
     let again = engine_fingerprint();
     assert_same_text("same-seed runs must agree", &parallel, &again);
+    // Both job counts could drift together, so the trained-Neural
+    // report is also pinned across commits by its digest.
+    check_golden(
+        "neural_engine_tiny.txt",
+        &format!("fnv1a64 {:016x}\n", fnv1a64(serial.bytes())),
+    );
 
     // Sweep level: a multi-run experiment's rendered table. Table V
     // fans six predictor runs out and formats every metric (the neural
@@ -323,18 +329,24 @@ fn streaming_matches_materialized_at_paper_scale() {
     assert_eq!(t, trace.regions[0].groups[0].series.len());
 }
 
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// 64-bit FNV-1a over `to_bits()` of every generated value, group by
 /// group in region-major order, each group over all its ticks.
 fn trace_digest(trace: &mmog_workload::GameTrace) -> u64 {
-    trace
-        .regions
-        .iter()
-        .flat_map(|r| &r.groups)
-        .flat_map(|g| g.series.values())
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv1a64(
+        trace
+            .regions
+            .iter()
+            .flat_map(|r| &r.groups)
+            .flat_map(|g| g.series.values())
+            .flat_map(|v| v.to_bits().to_le_bytes()),
+    )
 }
 
 /// Pins the RuneScape generator's output across commits: group count,
