@@ -2,7 +2,9 @@
 
 use mmog_faults::{FaultSpec, ScenarioSpec};
 use mmog_sim::scenario::ScenarioOpts;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// `--help` text shared by the experiment binaries: every flag plus the
 /// full `--faults` and `--scenario` grammars.
@@ -132,7 +134,8 @@ impl RunOpts {
     /// applies `--jobs` to the global parallelism setting plus the
     /// trace destination to the observability plane. `--quick` is
     /// shorthand for a 3-day, 6-group smoke run. Unknown flags are
-    /// ignored so binaries stay composable.
+    /// ignored so binaries stay composable; a known flag with an
+    /// unparsable value aborts.
     #[must_use]
     pub fn from_args() -> Self {
         if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
@@ -160,7 +163,12 @@ impl RunOpts {
     }
 
     /// Parses flags from an explicit argument list (testable core of
-    /// [`from_args`]; does not touch global state).
+    /// [`from_args`]; does not touch global state). Unknown flags are
+    /// skipped, because binaries add flags of their own.
+    ///
+    /// # Panics
+    /// Panics when a known numeric flag's value does not parse: a typo
+    /// must abort the run, not silently fall back to a default.
     ///
     /// [`from_args`]: Self::from_args
     #[must_use]
@@ -175,19 +183,19 @@ impl RunOpts {
                     opts.cap = Some(6);
                 }
                 "--days" if i + 1 < args.len() => {
-                    opts.days = args[i + 1].parse().unwrap_or(opts.days);
+                    opts.days = parse_value("--days", &args[i + 1]);
                     i += 1;
                 }
                 "--cap" if i + 1 < args.len() => {
-                    opts.cap = args[i + 1].parse().ok();
+                    opts.cap = Some(parse_value("--cap", &args[i + 1]));
                     i += 1;
                 }
                 "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().unwrap_or(opts.seed);
+                    opts.seed = parse_value("--seed", &args[i + 1]);
                     i += 1;
                 }
                 "--jobs" if i + 1 < args.len() => {
-                    opts.jobs = args[i + 1].parse().unwrap_or(opts.jobs);
+                    opts.jobs = parse_value("--jobs", &args[i + 1]);
                     i += 1;
                 }
                 "--trace" if i + 1 < args.len() => {
@@ -206,14 +214,14 @@ impl RunOpts {
                     i += 1;
                 }
                 "--flight" if i + 1 < args.len() => {
-                    opts.flight = args[i + 1].parse().ok();
+                    opts.flight = Some(parse_value("--flight", &args[i + 1]));
                     i += 1;
                 }
                 "--flight-dump" => {
                     opts.flight_dump = true;
                 }
                 "--tick-deadline-ms" if i + 1 < args.len() => {
-                    opts.tick_deadline_ms = args[i + 1].parse().ok();
+                    opts.tick_deadline_ms = Some(parse_value("--tick-deadline-ms", &args[i + 1]));
                     i += 1;
                 }
                 "--ts" if i + 1 < args.len() => {
@@ -225,7 +233,7 @@ impl RunOpts {
                     i += 1;
                 }
                 "--live-every" if i + 1 < args.len() => {
-                    opts.live_every = args[i + 1].parse().ok();
+                    opts.live_every = Some(parse_value("--live-every", &args[i + 1]));
                     i += 1;
                 }
                 _ => {}
@@ -303,6 +311,19 @@ impl RunOpts {
     }
 }
 
+/// Parses the value of a numeric flag.
+///
+/// # Panics
+/// Panics with the flag and the value when the value does not parse.
+fn parse_value<T: FromStr>(flag: &str, value: &str) -> T
+where
+    T::Err: Display,
+{
+    value
+        .parse()
+        .unwrap_or_else(|err| panic!("invalid value {value:?} for {flag}: {err}"))
+}
+
 /// Resolves a `--faults` / `MMOG_FAULTS` value: the keyword `paper`
 /// selects [`FaultSpec::paper_default`]; anything else must parse as a
 /// `key=value` list.
@@ -367,12 +388,24 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_and_bad_values_are_ignored() {
-        let o = RunOpts::parse(args(&["--verbose", "--days", "abc", "--jobs", "x"]));
+    fn unknown_flags_are_ignored() {
+        let o = RunOpts::parse(args(&["--verbose"]));
         assert_eq!(o.days, 14);
         assert_eq!(o.jobs, 0);
         assert_eq!(o.trace, None);
         assert!(!o.metrics);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value \"abc\" for --days")]
+    fn unparsable_days_aborts() {
+        let _ = RunOpts::parse(args(&["--days", "abc"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value \"5ms\" for --tick-deadline-ms")]
+    fn unparsable_tick_deadline_aborts() {
+        let _ = RunOpts::parse(args(&["--tick-deadline-ms", "5ms"]));
     }
 
     #[test]

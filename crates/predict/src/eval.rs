@@ -122,6 +122,11 @@ impl PredictorKind {
     /// that groups train uncorrelated models deterministically,
     /// independent of construction order or thread count.
     ///
+    /// The neural predictor's trained network comes from a process-wide
+    /// cache keyed by the configuration, seed and exact history, so a
+    /// sweep that rebuilds the same group trains it once; every call
+    /// still returns its own predictor, identical to a fresh fit.
+    ///
     /// [`build`]: Self::build
     #[must_use]
     pub fn build_seeded(self, training: &[f64], seed: u64) -> Box<dyn Predictor + Send> {
@@ -131,8 +136,7 @@ impl PredictorKind {
                     seed,
                     ..NeuralConfig::default()
                 };
-                let (p, _report) = NeuralPredictor::train(cfg, training);
-                Box::new(p)
+                Box::new(NeuralPredictor::deploy(cfg, training))
             }
             Self::Average => Box::new(RunningAverage::new()),
             Self::MovingAverage => Box::new(MovingAverage::new(10)),

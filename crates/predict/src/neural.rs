@@ -16,10 +16,12 @@
 use crate::mlp::{self, Mlp};
 use crate::preprocess::{poly_extrapolate, poly_smooth_into, Normalizer, PolyScratch};
 use crate::traits::Predictor;
+use mmog_util::memo::Memo;
 use mmog_util::rng::Rng64;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Hyper-parameters of the neural predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,15 +116,44 @@ impl NeuralPredictor {
     pub fn untrained(cfg: NeuralConfig, scale_hint: f64) -> Self {
         let mut rng = Rng64::seed_from(cfg.seed);
         let net = Mlp::new(&[cfg.window, cfg.hidden, 1], &mut rng);
+        Self::with_net(cfg, net, Normalizer::new(scale_hint.max(1.0)))
+    }
+
+    /// A predictor around `net` with no history: empty window and fresh
+    /// scratch buffers.
+    fn with_net(cfg: NeuralConfig, net: Mlp, normalizer: Normalizer) -> Self {
         Self {
             cfg,
             net,
-            normalizer: Normalizer::new(scale_hint.max(1.0)),
+            normalizer,
             window: VecDeque::with_capacity(cfg.window + 1),
             last_features: Vec::with_capacity(cfg.window),
             has_features: false,
             scratch: RefCell::new(Buffers::default()),
         }
+    }
+
+    /// The offline phase as deployment sees it: [`train`] on `series`,
+    /// served from a process-wide cache of trained networks. Training
+    /// is a pure function of `(cfg, series)`, so a cached network is
+    /// the one a fresh fit would produce, bit for bit; each call gets
+    /// its own copy, because online learning mutates it.
+    ///
+    /// Counts every deployed model in `predict.train.models` and its
+    /// training eras in `predict.train.eras`, hit or miss, so the
+    /// counters describe the models the runs use. Real fits show up as
+    /// the call count of the `predict/neural/train` span.
+    ///
+    /// [`train`]: Self::train
+    pub(crate) fn deploy(cfg: NeuralConfig, series: &[f64]) -> Self {
+        let trained = trained(cfg, series);
+        // Era totals are data/seed-determined and the add is
+        // commutative, so this stays deterministic under parallel
+        // per-group construction.
+        mmog_obs::counter("predict.train.eras", mmog_obs::Domain::Semantic)
+            .add(trained.eras as u64);
+        mmog_obs::counter("predict.train.models", mmog_obs::Domain::Semantic).incr();
+        Self::with_net(trained.cfg, trained.net.clone(), trained.normalizer.clone())
     }
 
     /// Offline training phase on a collected series. Splits into
@@ -241,10 +272,6 @@ impl NeuralPredictor {
             }
             (sum / test_count as f64).sqrt()
         };
-        // Era totals are data/seed-determined and the add is commutative,
-        // so this stays deterministic under parallel per-group training.
-        mmog_obs::counter("predict.train.eras", mmog_obs::Domain::Semantic).add(eras as u64);
-        mmog_obs::counter("predict.train.models", mmog_obs::Domain::Semantic).incr();
         let report = TrainingReport {
             eras,
             test_rmse,
@@ -258,6 +285,66 @@ impl NeuralPredictor {
     #[must_use]
     pub fn config(&self) -> &NeuralConfig {
         &self.cfg
+    }
+}
+
+/// A network as the offline phase leaves it, shared by every
+/// predictor [`NeuralPredictor::deploy`] builds from the same input.
+#[derive(Debug)]
+struct Trained {
+    /// `to_bits()` of the series it was trained on. The memo key holds
+    /// only a hash of the series, so every hit compares these bits.
+    history: Box<[u64]>,
+    cfg: NeuralConfig,
+    /// Weights and momentum velocity after the last era.
+    net: Mlp,
+    normalizer: Normalizer,
+    eras: usize,
+}
+
+impl Trained {
+    fn fit(cfg: NeuralConfig, series: &[f64]) -> Self {
+        let (p, report) = NeuralPredictor::train(cfg, series);
+        Self {
+            history: series.iter().map(|v| v.to_bits()).collect(),
+            cfg: p.cfg,
+            net: p.net,
+            normalizer: p.normalizer,
+            eras: report.eras,
+        }
+    }
+
+    fn trained_on(&self, series: &[f64]) -> bool {
+        self.history
+            .iter()
+            .copied()
+            .eq(series.iter().map(|v| v.to_bits()))
+    }
+}
+
+static TRAINED: Memo<Trained> = Memo::new();
+
+/// The memo key: the whole configuration (seed included), the series
+/// length and a 64-bit FNV-1a hash over `to_bits()` of the series.
+fn trained_key(cfg: &NeuralConfig, series: &[f64]) -> String {
+    let hash = series
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    format!("{cfg:?}|{}|{hash:016x}", series.len())
+}
+
+/// The trained network for `(cfg, series)`: the memo entry, fitted on
+/// first use. An entry trained on other bits (a hash collision) is
+/// bypassed with an uncached fit, so a collision never changes a result.
+fn trained(cfg: NeuralConfig, series: &[f64]) -> Arc<Trained> {
+    let entry = TRAINED.get_or_build(&trained_key(&cfg, series), || Trained::fit(cfg, series));
+    if entry.trained_on(series) {
+        entry
+    } else {
+        Arc::new(Trained::fit(cfg, series))
     }
 }
 
@@ -515,6 +602,89 @@ mod tests {
             b.observe(x);
         }
         assert_eq!(a.predict(), b.predict());
+    }
+
+    /// Bits of every fused prediction over `series`.
+    fn prediction_bits(p: &mut NeuralPredictor, series: &[f64]) -> Vec<u64> {
+        series
+            .iter()
+            .map(|&x| p.observe_predict(x).to_bits())
+            .collect()
+    }
+
+    fn cfg_seeded(seed: u64) -> NeuralConfig {
+        NeuralConfig {
+            seed,
+            ..NeuralConfig::default()
+        }
+    }
+
+    #[test]
+    fn deployed_predictors_match_a_fresh_fit_bit_for_bit() {
+        // Online learning on: the deployed copies keep training on the
+        // live series, so their outputs pin the weights, the momentum
+        // velocity and the normalizer, and that the trained scratch
+        // carried no state into the fresh one.
+        let cfg = cfg_seeded(0x0CAC_4E01);
+        assert!(cfg.online_learning);
+        let series = diurnal_series(2600, 11);
+        let (history, live) = series.split_at(400);
+        let (mut fresh, _) = NeuralPredictor::train(cfg, history);
+        let expected = prediction_bits(&mut fresh, live);
+        assert!(live.len() >= 2000);
+        // The first deploy fits, the second is served from the memo;
+        // the first one's online learning must not leak into it.
+        let mut first = NeuralPredictor::deploy(cfg, history);
+        assert_eq!(prediction_bits(&mut first, live), expected);
+        let mut second = NeuralPredictor::deploy(cfg, history);
+        assert_eq!(prediction_bits(&mut second, live), expected);
+    }
+
+    #[test]
+    fn same_input_shares_one_memo_entry() {
+        let cfg = cfg_seeded(0x0CAC_4E02);
+        let series = diurnal_series(200, 12);
+        let a = trained(cfg, &series);
+        let b = trained(cfg, &series);
+        assert!(Arc::ptr_eq(&a, &b), "second request must hit the memo");
+    }
+
+    #[test]
+    fn another_seed_or_one_flipped_bit_misses() {
+        let cfg = cfg_seeded(0x0CAC_4E03);
+        let series = diurnal_series(200, 13);
+        let base = trained(cfg, &series);
+        let reseeded = trained(cfg_seeded(0x0CAC_4E04), &series);
+        assert!(!Arc::ptr_eq(&base, &reseeded));
+        assert_eq!(reseeded.cfg.seed, 0x0CAC_4E04);
+        let mut flipped = series.clone();
+        flipped[77] = f64::from_bits(flipped[77].to_bits() ^ 1);
+        assert_ne!(trained_key(&cfg, &series), trained_key(&cfg, &flipped));
+        let other = trained(cfg, &flipped);
+        assert!(!Arc::ptr_eq(&base, &other));
+        assert!(other.trained_on(&flipped) && !other.trained_on(&series));
+    }
+
+    #[test]
+    fn colliding_entry_falls_back_to_an_uncached_fit() {
+        // Plant, under this request's key, a network trained on another
+        // series, as a hash collision would.
+        let cfg = cfg_seeded(0x0CAC_4E05);
+        let series = diurnal_series(300, 14);
+        let impostor = diurnal_series(300, 15);
+        let planted =
+            TRAINED.get_or_build(&trained_key(&cfg, &series), || Trained::fit(cfg, &impostor));
+        assert!(planted.trained_on(&impostor));
+        let served = trained(cfg, &series);
+        assert!(!Arc::ptr_eq(&planted, &served));
+        assert!(served.trained_on(&series));
+        let live = diurnal_series(500, 16);
+        let (mut fresh, _) = NeuralPredictor::train(cfg, &series);
+        let mut deployed = NeuralPredictor::deploy(cfg, &series);
+        assert_eq!(
+            prediction_bits(&mut deployed, &live),
+            prediction_bits(&mut fresh, &live)
+        );
     }
 
     #[test]

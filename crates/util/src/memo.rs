@@ -7,6 +7,9 @@
 //! finished artefact by a caller-chosen string (typically the `Debug`
 //! rendering of the full configuration) and shares it behind an `Arc`,
 //! so every later request — from any thread — gets the cached value.
+//! Users: `mmog_workload::cache` (traces), `GameEmulator::run_cached`
+//! (Table I data sets) and `PredictorKind::build_seeded` (trained
+//! neural predictors).
 //!
 //! Concurrency: the map lock is held only to look up or insert the
 //! per-key cell, never while building. Concurrent requests for the
