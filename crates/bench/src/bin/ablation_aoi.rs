@@ -1,5 +1,4 @@
 //! Regenerates the area-of-interest ablation.
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::ablation_aoi(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::ablation_aoi);
 }

@@ -1,5 +1,4 @@
 //! Regenerates the request-priority extension (the paper's future work).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::ablation_priority(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::ablation_priority);
 }

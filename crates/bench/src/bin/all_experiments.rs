@@ -14,7 +14,7 @@
 //! any job count. Wall-clock timings land in `results/BENCH_parallel.json`.
 
 use mmog_bench::experiments as exp;
-use mmog_bench::RunOpts;
+use mmog_bench::{Experiment, RunOpts};
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
@@ -93,7 +93,7 @@ fn main() {
         mmog_par::jobs()
     );
 
-    let experiments: Vec<(&str, fn(&RunOpts) -> String)> = vec![
+    let experiments: Vec<(&str, Experiment)> = vec![
         ("fig01_growth", exp::fig01_growth),
         ("fig02_global_population", exp::fig02_global_population),
         ("fig03_regional_patterns", exp::fig03_regional_patterns),
@@ -152,28 +152,14 @@ fn main() {
         bench_path.display()
     );
 
-    // Observability exports: the JSONL event log (--trace / MMOG_TRACE)
-    // and the metrics summary (--metrics).
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    // Observability exports: the JSONL event log, the time series and
+    // the metrics summary. The summary gets the suite wall time so the
+    // `obs/self` section can report the recorder's overhead as a
+    // percentage.
+    mmog_obs::note_wall_seconds(wall_seconds);
+    mmog_bench::flush_obs(&opts);
     if opts.metrics {
-        // Give the summary the suite wall time so the `obs/self`
-        // section can report the recorder's overhead as a percentage.
-        mmog_obs::note_wall_seconds(wall_seconds);
-        let summary_path = out_dir.join("OBS_summary.json");
-        fs::write(&summary_path, mmog_obs::summary_json()).expect("cannot write OBS summary");
-        println!("== metrics summary -> {}\n", summary_path.display());
+        println!();
         println!("{}", mmog_obs::render_summary_table());
         // Flame-style span profile next to the summary. Pure wall-clock
         // data, so the whole file sits inside timing markers — anything

@@ -1,5 +1,4 @@
 //! Regenerates Figure 1 (MMORPG market growth).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::fig01_growth(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::fig01_growth);
 }

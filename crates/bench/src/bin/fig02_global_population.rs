@@ -1,8 +1,4 @@
 //! Regenerates Figure 2 (global concurrent players with population events).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig02_global_population(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig02_global_population);
 }

@@ -1,8 +1,4 @@
 //! Regenerates Figure 3 (regional load envelope, IQR, ACF).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig03_regional_patterns(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig03_regional_patterns);
 }

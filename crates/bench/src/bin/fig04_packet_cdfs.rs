@@ -1,5 +1,4 @@
 //! Regenerates Figure 4 (packet length / IAT CDFs).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::fig04_packet_cdfs(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::fig04_packet_cdfs);
 }

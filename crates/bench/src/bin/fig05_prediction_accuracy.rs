@@ -1,8 +1,4 @@
 //! Regenerates Figure 5 (prediction accuracy bake-off).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig05_prediction_accuracy(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig05_prediction_accuracy);
 }

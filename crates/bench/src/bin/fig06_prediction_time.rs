@@ -1,5 +1,4 @@
 //! Regenerates Figure 6 (per-prediction latency).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::fig06_prediction_time(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::fig06_prediction_time);
 }

@@ -1,8 +1,4 @@
 //! Regenerates Figure 8 (static vs dynamic over-allocation).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig08_static_vs_dynamic(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig08_static_vs_dynamic);
 }

@@ -1,8 +1,4 @@
 //! Regenerates Figures 9-10 and Table VI (update-model impact).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig09_10_table6_interaction(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig09_10_table6_interaction);
 }

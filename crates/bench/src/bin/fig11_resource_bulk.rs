@@ -1,5 +1,4 @@
 //! Regenerates Figure 11 (CPU resource-bulk sweep).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::fig11_resource_bulk(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::fig11_resource_bulk);
 }

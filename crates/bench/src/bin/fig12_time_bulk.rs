@@ -1,5 +1,4 @@
 //! Regenerates Figure 12 (time-bulk sweep).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::fig12_time_bulk(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::fig12_time_bulk);
 }

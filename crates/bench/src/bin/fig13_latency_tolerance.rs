@@ -1,8 +1,4 @@
 //! Regenerates Figure 13 (latency-tolerance allocation distribution).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig13_latency_tolerance(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig13_latency_tolerance);
 }

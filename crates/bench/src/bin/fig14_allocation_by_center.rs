@@ -1,8 +1,4 @@
 //! Regenerates Figure 14 (per-center allocation at Very-far tolerance).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::fig14_allocation_by_center(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::fig14_allocation_by_center);
 }

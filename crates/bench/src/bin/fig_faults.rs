@@ -18,22 +18,5 @@ fn main() {
     let path = out_dir.join("fig_faults.txt");
     fs::write(&path, &report).expect("cannot write report");
     println!("== fig_faults -> {}", path.display());
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
-    if opts.metrics {
-        let summary_path = out_dir.join("OBS_summary.json");
-        fs::write(&summary_path, mmog_obs::summary_json()).expect("cannot write OBS summary");
-        println!("== metrics summary -> {}", summary_path.display());
-    }
+    mmog_bench::flush_obs(&opts);
 }

@@ -21,7 +21,7 @@
 //! window of full-detail events and dumps `FLIGHT_<run>.jsonl` only on
 //! a trigger.
 
-use mmog_bench::scale;
+use mmog_bench::{cli, scale};
 use mmog_util::time::TICKS_PER_DAY;
 use std::fs;
 use std::path::Path;
@@ -30,40 +30,31 @@ struct Opts {
     quick: bool,
     full: bool,
     ticks: usize,
-    seed: u64,
+    run: cli::RunOpts,
 }
 
 fn parse_args() -> Opts {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Opts {
         quick: false,
         full: false,
         ticks: TICKS_PER_DAY as usize,
-        seed: 2008,
+        // --seed, --jobs and the observability flags (--trace, --flight,
+        // --ts, --live, ...) share the experiment binaries' parser, so
+        // every binary spells them identically.
+        run: cli::RunOpts::parse(args.clone()),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => opts.quick = true,
             "--full" => opts.full = true,
-            "--ticks" if i + 1 < args.len() => {
-                opts.ticks = args[i + 1].parse().unwrap_or(opts.ticks);
-                i += 1;
-            }
-            "--seed" if i + 1 < args.len() => {
-                opts.seed = args[i + 1].parse().unwrap_or(opts.seed);
-                i += 1;
-            }
+            "--ticks" => opts.ticks = cli::parse_next(&mut args, "--ticks"),
             _ => {}
         }
-        i += 1;
     }
-    // --jobs and the observability flags (--trace, --flight, --ts,
-    // --live, ...) share the experiment binaries' parser, so every
-    // binary spells them identically.
-    let run = mmog_bench::cli::RunOpts::parse(args);
-    run.apply_jobs();
-    run.apply_obs();
+    opts.run.apply_jobs();
+    opts.run.apply_obs();
     opts
 }
 
@@ -77,25 +68,13 @@ fn main() {
         opts.ticks,
         mmog_par::jobs()
     );
-    let results = scale::run_sweep(&points, opts.ticks, opts.seed);
-    let json = scale::render_json(&results, opts.ticks, opts.seed);
+    let results = scale::run_sweep(&points, opts.ticks, opts.run.seed);
+    let json = scale::render_json(&results, opts.ticks, opts.run.seed);
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("cannot create results/");
     let path = out_dir.join("BENCH_scale.json");
     fs::write(&path, &json).expect("cannot write BENCH_scale.json");
     println!("-> {}", path.display());
     print!("{json}");
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    mmog_bench::flush_obs(&opts.run);
 }

@@ -1,5 +1,4 @@
 //! Regenerates Table I (the eight emulated data sets).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::table1_emulator_sets(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::table1_emulator_sets);
 }

@@ -1,8 +1,4 @@
 //! Regenerates Table V and Figure 7 (prediction impact on provisioning).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!(
-        "{}",
-        mmog_bench::experiments::table5_prediction_impact(&opts)
-    );
+    mmog_bench::run_experiment(mmog_bench::experiments::table5_prediction_impact);
 }

@@ -1,5 +1,4 @@
 //! Regenerates Table VII (multi-MMOG workload mixes).
 fn main() {
-    let opts = mmog_bench::RunOpts::from_args();
-    print!("{}", mmog_bench::experiments::table7_multi_mmog(&opts));
+    mmog_bench::run_experiment(mmog_bench::experiments::table7_multi_mmog);
 }

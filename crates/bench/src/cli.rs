@@ -134,8 +134,8 @@ impl RunOpts {
     /// applies `--jobs` to the global parallelism setting plus the
     /// trace destination to the observability plane. `--quick` is
     /// shorthand for a 3-day, 6-group smoke run. Unknown flags are
-    /// ignored so binaries stay composable; a known flag with an
-    /// unparsable value aborts.
+    /// ignored so binaries stay composable; a known flag with a missing
+    /// or unparsable value aborts.
     #[must_use]
     pub fn from_args() -> Self {
         if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
@@ -167,78 +167,44 @@ impl RunOpts {
     /// skipped, because binaries add flags of their own.
     ///
     /// # Panics
-    /// Panics when a known numeric flag's value does not parse: a typo
-    /// must abort the run, not silently fall back to a default.
+    /// Panics when a known flag's value is missing or, for a numeric
+    /// flag, does not parse: a typo must abort the run, not silently
+    /// fall back to a default.
     ///
     /// [`from_args`]: Self::from_args
     #[must_use]
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--quick" => {
                     opts.days = 3;
                     opts.cap = Some(6);
                 }
-                "--days" if i + 1 < args.len() => {
-                    opts.days = parse_value("--days", &args[i + 1]);
-                    i += 1;
+                "--days" => opts.days = parse_next(&mut args, "--days"),
+                "--cap" => opts.cap = Some(parse_next(&mut args, "--cap")),
+                "--seed" => opts.seed = parse_next(&mut args, "--seed"),
+                "--jobs" => opts.jobs = parse_next(&mut args, "--jobs"),
+                "--trace" => opts.trace = Some(PathBuf::from(next_value(&mut args, "--trace"))),
+                "--metrics" => opts.metrics = true,
+                "--faults" => {
+                    opts.faults = Some(parse_fault_spec(&next_value(&mut args, "--faults")))
                 }
-                "--cap" if i + 1 < args.len() => {
-                    opts.cap = Some(parse_value("--cap", &args[i + 1]));
-                    i += 1;
+                "--scenario" => {
+                    opts.scenario_spec =
+                        Some(parse_scenario_spec(&next_value(&mut args, "--scenario")));
                 }
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = parse_value("--seed", &args[i + 1]);
-                    i += 1;
+                "--flight" => opts.flight = Some(parse_next(&mut args, "--flight")),
+                "--flight-dump" => opts.flight_dump = true,
+                "--tick-deadline-ms" => {
+                    opts.tick_deadline_ms = Some(parse_next(&mut args, "--tick-deadline-ms"));
                 }
-                "--jobs" if i + 1 < args.len() => {
-                    opts.jobs = parse_value("--jobs", &args[i + 1]);
-                    i += 1;
-                }
-                "--trace" if i + 1 < args.len() => {
-                    opts.trace = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--metrics" => {
-                    opts.metrics = true;
-                }
-                "--faults" if i + 1 < args.len() => {
-                    opts.faults = Some(parse_fault_spec(&args[i + 1]));
-                    i += 1;
-                }
-                "--scenario" if i + 1 < args.len() => {
-                    opts.scenario_spec = Some(parse_scenario_spec(&args[i + 1]));
-                    i += 1;
-                }
-                "--flight" if i + 1 < args.len() => {
-                    opts.flight = Some(parse_value("--flight", &args[i + 1]));
-                    i += 1;
-                }
-                "--flight-dump" => {
-                    opts.flight_dump = true;
-                }
-                "--tick-deadline-ms" if i + 1 < args.len() => {
-                    opts.tick_deadline_ms = Some(parse_value("--tick-deadline-ms", &args[i + 1]));
-                    i += 1;
-                }
-                "--ts" if i + 1 < args.len() => {
-                    opts.ts_dir = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--live" if i + 1 < args.len() => {
-                    opts.live = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--live-every" if i + 1 < args.len() => {
-                    opts.live_every = Some(parse_value("--live-every", &args[i + 1]));
-                    i += 1;
-                }
+                "--ts" => opts.ts_dir = Some(PathBuf::from(next_value(&mut args, "--ts"))),
+                "--live" => opts.live = Some(PathBuf::from(next_value(&mut args, "--live"))),
+                "--live-every" => opts.live_every = Some(parse_next(&mut args, "--live-every")),
                 _ => {}
             }
-            i += 1;
         }
         opts
     }
@@ -311,14 +277,28 @@ impl RunOpts {
     }
 }
 
-/// Parses the value of a numeric flag.
+/// The argument following a value-taking `flag`.
 ///
 /// # Panics
-/// Panics with the flag and the value when the value does not parse.
-fn parse_value<T: FromStr>(flag: &str, value: &str) -> T
+/// Panics naming the flag when the arguments end before its value or
+/// the next argument is itself a flag (`--trace --metrics` must not
+/// write the trace to a file named `--metrics`).
+pub fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .filter(|value| !value.starts_with("--"))
+        .unwrap_or_else(|| panic!("missing value for {flag}"))
+}
+
+/// Parses the argument following a numeric `flag`.
+///
+/// # Panics
+/// Panics naming the flag when its value is missing or does not parse:
+/// a typo must abort the run, not silently fall back to a default.
+pub fn parse_next<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
 where
     T::Err: Display,
 {
+    let value = next_value(args, flag);
     value
         .parse()
         .unwrap_or_else(|err| panic!("invalid value {value:?} for {flag}: {err}"))
@@ -417,10 +397,7 @@ mod tests {
         assert_eq!(spec.outages_per_center_day, 0.5);
         assert_eq!(spec.repair_minutes, 120);
         assert_eq!(spec.seed, 9);
-        // Absent by default, and --faults without a value is ignored
-        // like any malformed flag.
         assert_eq!(RunOpts::parse(args(&[])).faults, None);
-        assert_eq!(RunOpts::parse(args(&["--faults"])).faults, None);
     }
 
     #[test]
@@ -438,10 +415,7 @@ mod tests {
         assert_eq!(spec.partitions_per_day, 1.5);
         assert_eq!(spec.migrations_per_day, 4.0);
         assert_eq!(spec.migration_cost_ticks, 3);
-        // Absent by default, and --scenario without a value is ignored
-        // like any malformed flag.
         assert_eq!(RunOpts::parse(args(&[])).scenario_spec, None);
-        assert_eq!(RunOpts::parse(args(&["--scenario"])).scenario_spec, None);
     }
 
     #[test]
@@ -480,9 +454,31 @@ mod tests {
         let o = RunOpts::parse(args(&["--trace", "events.jsonl", "--metrics"]));
         assert_eq!(o.trace.as_deref(), Some(Path::new("events.jsonl")));
         assert!(o.metrics);
-        // --trace without a value is ignored like any malformed flag.
-        let o = RunOpts::parse(args(&["--trace"]));
-        assert_eq!(o.trace, None);
+    }
+
+    #[test]
+    fn every_value_flag_without_its_value_aborts_naming_itself() {
+        for flag in [
+            "--days",
+            "--cap",
+            "--seed",
+            "--jobs",
+            "--trace",
+            "--faults",
+            "--scenario",
+            "--flight",
+            "--tick-deadline-ms",
+            "--ts",
+            "--live",
+            "--live-every",
+        ] {
+            // Given last, or followed by another flag.
+            for list in [["--metrics", flag], [flag, "--metrics"]] {
+                let err = std::panic::catch_unwind(|| RunOpts::parse(args(&list))).expect_err(flag);
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert_eq!(msg, &format!("missing value for {flag}"));
+            }
+        }
     }
 
     #[test]

@@ -125,10 +125,8 @@ pub struct PointResult {
     /// histograms. Wall-clock data — never part of the semantic section.
     pub latency: Vec<(String, mmog_obs::LatencySnapshot)>,
     /// Settle calls the match memo replayed across every world of this
-    /// point. Timing-domain: parallel fault interleavings can shift the
-    /// process-global availability epoch, so counts may vary with
-    /// `--jobs` — reported here and in the stage JSON, never in the
-    /// semantic section.
+    /// point. Each world's memo keys only on its own state, so the count
+    /// is the same at any `--jobs`.
     pub match_skips: u64,
     /// Settle calls that ran the full candidate walk.
     pub match_full: u64,

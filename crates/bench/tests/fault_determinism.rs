@@ -204,12 +204,12 @@ fn scenario_determinism() {
     // player-visible cost, episodes recovered, and every new event kind
     // landed in the trace with a valid field set.
     assert!(
-        report_serial.contains("migration_player_ticks: 0.0") == false
-            && report_serial.contains("migrations: 0,") == false,
+        !report_serial.contains("migration_player_ticks: 0.0")
+            && !report_serial.contains("migrations: 0,"),
         "busy scenario must migrate and charge cost: {report_serial}"
     );
     assert!(
-        report_serial.contains("recovery_ticks: []") == false,
+        !report_serial.contains("recovery_ticks: []"),
         "scenario episodes must open and recover: {report_serial}"
     );
     let mut kinds: Vec<String> = Vec::new();

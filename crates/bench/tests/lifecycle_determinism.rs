@@ -210,12 +210,11 @@ fn lease_lifecycles_reconstruct_fully_across_jobs() {
 
     // Time-series exports: every document validates against the
     // `mmog-obs-ts/v1` schema, and the `semantic` sections (demand,
-    // allocation, shortfall — sampled from serial sections and
-    // downsampled by a pure function of the sample sequence) are
-    // byte-identical across job counts. The `timing` sections (stage
-    // latencies, and the memo skip rate, whose replay eligibility keys
-    // on the process-wide availability epoch and so moves with --jobs)
-    // are excluded, per the determinism contract.
+    // allocation, shortfall, memo skip rate — sampled from serial
+    // sections and downsampled by a pure function of the sample
+    // sequence) are byte-identical across job counts. The `timing`
+    // sections (stage latencies) are excluded, per the determinism
+    // contract.
     assert!(
         !ts_serial.is_empty(),
         "mini-suite must export at least one TS document"

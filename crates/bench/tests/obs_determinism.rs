@@ -31,11 +31,13 @@ fn tiny() -> RunOpts {
 /// A mini-suite: fig08 drives the full engine pipeline (two Neural
 /// simulations, events from every serial section), fig06 contributes
 /// wall-clock latency instruments that must stay out of the semantic
-/// section.
+/// section, and fig_faults runs concurrent faulted simulations whose
+/// outages must not move one another's match-memo split.
 fn mini_suite(opts: &RunOpts) -> Vec<String> {
     vec![
         exp::fig08_static_vs_dynamic(opts),
         exp::fig06_prediction_time(opts),
+        exp::fig_faults(opts),
     ]
 }
 
@@ -88,10 +90,12 @@ fn semantic_outputs_identical_across_jobs() {
             d.message()
         );
     }
-    assert!(
-        sem_serial.contains("sim.runs"),
-        "the engine actually recorded: {sem_serial}"
-    );
+    for counter in ["sim.runs", "sim.match.skips", "sim.match.full"] {
+        assert!(
+            sem_serial.contains(counter),
+            "{counter} is semantic: {sem_serial}"
+        );
+    }
 
     // The event logs are byte-identical, non-empty, and well-formed.
     assert!(!trace_serial.is_empty(), "trace must contain events");

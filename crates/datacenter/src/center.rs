@@ -12,33 +12,10 @@
 use crate::policy::HostingPolicy;
 use crate::request::OperatorId;
 use crate::resource::ResourceVector;
+use crate::topology::Topology;
 use mmog_util::geo::GeoPoint;
 use mmog_util::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide availability-change epoch. Bumped whenever any center's
-/// availability state changes ([`DataCenter::fail`],
-/// [`DataCenter::repair`], [`DataCenter::degrade`]), so cached matcher
-/// views ([`crate::matching::CandidateIndex`]) know when their
-/// availability-dependent filtering is stale. The epoch is a pure
-/// invalidation signal: a spurious bump (e.g. from an unrelated center
-/// set in another test) only costs a redundant refresh, never changes a
-/// match result, so determinism is unaffected. It does move the
-/// memo-replay *counts* (a spuriously invalidated step runs the full
-/// no-op walk instead of replaying), which is why skip counters and the
-/// `match_skip_rate` series are classified as timing, never semantic.
-static AVAIL_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the global availability epoch.
-#[must_use]
-pub fn availability_epoch() -> u64 {
-    AVAIL_EPOCH.load(Ordering::Relaxed)
-}
-
-fn bump_availability_epoch() {
-    AVAIL_EPOCH.fetch_add(1, Ordering::Relaxed);
-}
 
 /// Identifier of a data center (hoster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -198,11 +175,12 @@ impl DataCenter {
     /// lease is revoked (leases are center-local and cannot migrate out
     /// of a failed cluster). Returns the revoked leases so callers can
     /// notify their holders; the ids are retired and will never be
-    /// reissued or release-able again.
-    pub fn fail(&mut self) -> Vec<Lease> {
+    /// reissued or release-able again. Like every availability change,
+    /// it bumps the platform's [`Topology::availability_epoch`].
+    pub fn fail(&mut self, topology: &mut Topology) -> Vec<Lease> {
         self.availability = Availability::Down;
         self.allocated = ResourceVector::ZERO;
-        bump_availability_epoch();
+        topology.bump_availability();
         self.lease_cpu.clear();
         std::mem::take(&mut self.leases)
     }
@@ -211,18 +189,18 @@ impl DataCenter {
     /// capacity. Leases revoked by a prior [`fail`] stay revoked.
     ///
     /// [`fail`]: Self::fail
-    pub fn repair(&mut self) {
+    pub fn repair(&mut self, topology: &mut Topology) {
         self.availability = Availability::Up;
-        bump_availability_epoch();
+        topology.bump_availability();
     }
 
     /// Partial degradation to `fraction` of nominal capacity (clamped
     /// to `[0, 1]`). Existing leases keep running.
-    pub fn degrade(&mut self, fraction: f64) {
+    pub fn degrade(&mut self, topology: &mut Topology, fraction: f64) {
         self.availability = Availability::Degraded {
             fraction: fraction.clamp(0.0, 1.0),
         };
-        bump_availability_epoch();
+        topology.bump_availability();
     }
 
     /// Force-revokes one lease regardless of its earliest-release time
@@ -445,7 +423,8 @@ mod tests {
         let a = ResourceVector::new(0.37, 2.0, 0.0, 0.0);
         let l1 = c.grant(OperatorId(1), a, SimTime::ZERO).unwrap();
         let _l2 = c.grant(OperatorId(2), a, SimTime::ZERO).unwrap();
-        let lost = c.fail();
+        let mut topo = Topology::new(1);
+        let lost = c.fail(&mut topo);
         assert_eq!(lost.len(), 2);
         assert_eq!(c.availability(), Availability::Down);
         assert_eq!(c.allocated(), ResourceVector::ZERO);
@@ -456,7 +435,9 @@ mod tests {
         assert!(!c.release(l1, SimTime::from_days(10)));
         assert!(c.revoke(l1).is_none());
         // Repair restores capacity but not the revoked leases.
-        c.repair();
+        c.repair(&mut topo);
+        assert_eq!(topo.availability_epoch(), 2, "fail and repair bump");
+        assert_eq!(topo.version(), 0, "availability is not a topology edit");
         assert_eq!(c.availability(), Availability::Up);
         assert_eq!(c.free(), c.spec.capacity());
         assert!(c.leases().is_empty());
@@ -470,7 +451,8 @@ mod tests {
         let mut c = dc(); // capacity 12 CPU
         let a = ResourceVector::new(7.4, 2.0, 0.0, 0.0);
         let lease = c.grant(OperatorId(1), a, SimTime::ZERO).unwrap();
-        c.degrade(0.5); // effective 6 CPU < 7.4 allocated
+        let mut topo = Topology::new(1);
+        c.degrade(&mut topo, 0.5); // effective 6 CPU < 7.4 allocated
         assert_eq!(c.availability(), Availability::Degraded { fraction: 0.5 });
         assert_eq!(c.leases().len(), 1, "existing leases keep running");
         assert_eq!(c.free().cpu, 0.0, "free clamps at zero, never negative");
@@ -479,10 +461,10 @@ mod tests {
         // Matured release still works while degraded.
         assert!(c.release(lease, SimTime::from_days(1)));
         assert!((c.free().cpu - 6.0).abs() < 1e-9);
-        c.repair();
+        c.repair(&mut topo);
         assert_eq!(c.free(), c.spec.capacity());
         // The clamp keeps pathological fractions inside [0, 1].
-        c.degrade(7.0);
+        c.degrade(&mut topo, 7.0);
         assert_eq!(c.availability(), Availability::Degraded { fraction: 1.0 });
     }
 

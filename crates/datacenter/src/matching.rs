@@ -18,7 +18,7 @@
 //! unsuitable hosting policies [are] unused when suitable alternatives
 //! exist" — emerges from this ranking.
 
-use crate::center::{availability_epoch, Availability, DataCenter, LeaseId};
+use crate::center::{Availability, DataCenter, LeaseId};
 use crate::request::ResourceRequest;
 use crate::resource::ResourceVector;
 use crate::topology::Topology;
@@ -366,8 +366,9 @@ pub fn match_request(
 /// by the fault plane). The index therefore pre-computes the distances
 /// and the full offer-preference order once, and re-derives the
 /// availability-dependent admissible list and phase-1 rejections only
-/// when the global [`availability_epoch`] moves. In an unfaulted run
-/// every request after the first skips straight to the fill loop.
+/// when the platform's [`Topology::availability_epoch`] moves. In an
+/// unfaulted run every request after the first skips straight to the
+/// fill loop.
 ///
 /// An index is bound to one `(origin, tolerance)` pair — one per server
 /// group — and to one center set: it rebuilds itself if the center
@@ -499,8 +500,9 @@ impl CandidateIndex {
 ///   every deficit-negligible target — sound only while the ledger
 ///   holds *no matured lease*, because then there are no release or
 ///   reshape candidates at all, whatever the surplus;
-/// - the global **availability epoch** ([`availability_epoch`]): any
-///   fault-plane change (outage, repair, degradation) invalidates;
+/// - the platform's **availability epoch**
+///   ([`Topology::availability_epoch`]): any fault-plane change
+///   (outage, repair, degradation) invalidates;
 /// - the **topology version**: any scenario-plane mutation invalidates;
 /// - the caller's **lease-ledger generation**, a counter the caller
 ///   bumps on every grant, release, or revocation-driven drop;
@@ -615,7 +617,7 @@ pub fn match_request_indexed_into(
         "a CandidateIndex serves one (origin, tolerance) requester"
     );
     mmog_obs::time_stat(obs::match_timer(), || {
-        let epoch = availability_epoch();
+        let epoch = topology.availability_epoch();
         let topo_version = topology.version();
         if !index.built || index.n_centers != centers.len() || index.topo_version != topo_version {
             index.build(centers, topology);
@@ -833,9 +835,10 @@ mod tests {
             center(0, 50.0, 10.0, 10, HostingPolicy::hp(3)), // finest, but down
             center(1, 50.0, 11.0, 10, HostingPolicy::hp(5)),
         ];
-        let _ = centers[0].fail();
+        let mut topo = Topology::new(centers.len());
+        let _ = centers[0].fail(&mut topo);
         let out = match_request(
-            &Topology::new(centers.len()),
+            &topo,
             &mut centers,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -911,14 +914,14 @@ mod tests {
             .collect();
         // Fault plane: fail the best center mid-sequence, degrade
         // another, then repair — the index must follow every change.
-        assert_indexed_matches_oneshot(centers, &requests, |_, cs, step| match step {
+        assert_indexed_matches_oneshot(centers, &requests, |topo, cs, step| match step {
             2 => {
-                let _ = cs[0].fail();
+                let _ = cs[0].fail(topo);
             }
-            3 => cs[1].degrade(0.1),
+            3 => cs[1].degrade(topo, 0.1),
             4 => {
-                cs[0].repair();
-                cs[1].repair();
+                cs[0].repair(topo);
+                cs[1].repair(topo);
             }
             _ => {}
         });
@@ -1026,11 +1029,11 @@ mod tests {
             1 => topo.partition(0b001),
             2 => topo.set_link_factor(0, 1, 8.0),
             3 => {
-                let _ = cs[2].fail();
+                let _ = cs[2].fail(topo);
             }
             4 => topo.heal(),
             5 => {
-                cs[2].repair();
+                cs[2].repair(topo);
                 topo.set_link_factor(0, 1, 1.0);
             }
             _ => {}

@@ -8,12 +8,12 @@
 //! whole subsets of the federation unreachable from a player's home
 //! region until a `heal` event.
 //!
-//! A [`Topology`] is **per-simulation** state (not process-global like
-//! the availability epoch): two concurrent simulations may hold
-//! disjoint topologies. Runs without a scenario keep theirs nominal
-//! ([`Topology::new`]: fully connected, unit link factors), which
-//! [`crate::matching`] evaluates exactly like the static clique — every
-//! distance is multiplied by exactly 1.0 and every center is reachable.
+//! A [`Topology`] is **per-simulation** state: two concurrent
+//! simulations may hold disjoint topologies. Runs without a scenario
+//! keep theirs nominal ([`Topology::new`]: fully connected, unit link
+//! factors), which [`crate::matching`] evaluates exactly like the
+//! static clique — every distance is multiplied by exactly 1.0 and
+//! every center is reachable.
 //!
 //! # Model
 //!
@@ -33,6 +33,10 @@
 //!   ([`crate::matching::CandidateIndex`]) know when their distance
 //!   ordering is stale and must be rebuilt (availability-only changes
 //!   keep using the cheaper refresh path).
+//! - The **availability epoch** is bumped by every outage, repair or
+//!   degradation of this platform's centers (`DataCenter::{fail,
+//!   repair, degrade}` take the topology), so cached matcher views and
+//!   match memos see the availability changes of their own run only.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +52,8 @@ pub struct Topology {
     factor: Vec<f64>,
     /// Bumped on every mutation; cached matcher views compare it.
     version: u64,
+    /// Bumped on every availability change of a center.
+    avail_epoch: u64,
 }
 
 impl Topology {
@@ -58,6 +64,7 @@ impl Topology {
             component: vec![0; n],
             factor: Vec::new(),
             version: 0,
+            avail_epoch: 0,
         }
     }
 
@@ -77,6 +84,17 @@ impl Topology {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Current availability epoch (monotonically increasing).
+    #[must_use]
+    pub fn availability_epoch(&self) -> u64 {
+        self.avail_epoch
+    }
+
+    /// Records that a center's availability changed.
+    pub(crate) fn bump_availability(&mut self) {
+        self.avail_epoch += 1;
     }
 
     /// Splits the federation along `mask`: centers whose index bit is

@@ -174,6 +174,7 @@ proptest! {
         let mut retired: Vec<mmog_datacenter::center::LeaseId> = Vec::new();
         let mut seen: Vec<mmog_datacenter::center::LeaseId> = Vec::new();
         let far_future = SimTime::from_days(100);
+        let mut topo = Topology::new(1);
         for (i, &(code, amounts, fraction)) in ops.iter().enumerate() {
             match code {
                 0 => {
@@ -188,9 +189,9 @@ proptest! {
                         seen.push(id);
                     }
                 }
-                1 => retired.extend(c.fail().iter().map(|l| l.id)),
-                2 => c.repair(),
-                3 => c.degrade(fraction),
+                1 => retired.extend(c.fail(&mut topo).iter().map(|l| l.id)),
+                2 => c.repair(&mut topo),
+                3 => c.degrade(&mut topo, fraction),
                 4 => {
                     if let Some(l) = c.revoke_oldest() {
                         retired.push(l.id);
@@ -307,17 +308,17 @@ proptest! {
         let mut replay = live.clone();
         let mut live_index = CandidateIndex::new(origin, DistanceClass::VeryFar);
         let mut replay_index = live_index.clone();
-        let topo = Topology::new(1);
+        let mut topo = Topology::new(1);
         let (mut out, mut replayed) = (MatchOutcome::default(), MatchOutcome::default());
         for (i, (amounts, fault)) in demands.iter().enumerate() {
             match fault {
                 1 => {
-                    let _ = live[0].fail();
-                    let _ = replay[0].fail();
+                    let _ = live[0].fail(&mut topo);
+                    let _ = replay[0].fail(&mut topo);
                 }
                 2 => {
-                    live[0].repair();
-                    replay[0].repair();
+                    live[0].repair(&mut topo);
+                    replay[0].repair(&mut topo);
                 }
                 _ => {}
             }

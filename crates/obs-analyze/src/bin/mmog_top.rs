@@ -67,7 +67,7 @@ fn render(doc: &Value) -> String {
     ));
     out.push_str(&format!(
         "  match skip {:5.1}%   leases held {}   faults {}   scenarios {}   centers down {}\n\n",
-        num(doc, "timing", "match_skip_rate") * 100.0,
+        num(doc, "semantic", "match_skip_rate") * 100.0,
         num(doc, "semantic", "leases_held") as u64,
         num(doc, "semantic", "fault_events") as u64,
         num(doc, "semantic", "scenario_events") as u64,

@@ -1,14 +1,5 @@
 //! `obs_gate` — the baseline regression gate CI runs after the quick
-//! suite.
-//!
-//! ```text
-//! obs_gate --summary OBS_summary.json --bench BENCH_parallel.json
-//!          --obs-baseline results/BASELINE_obs.json
-//!          --bench-baseline results/BASELINE_bench.json
-//!          [--max-slowdown-pct 25] [--min-stage-ms 50]
-//!          [--max-p99-slowdown-pct 100] [--min-p99-us 20]
-//!          [--strict-paths] [--update] [--suite quick]
-//! ```
+//! suite. `obs_gate --help` prints the flags.
 //!
 //! Default mode compares and exits non-zero on any failure (semantic
 //! drift always fails; timing failures require a matching
@@ -21,18 +12,24 @@
 //! `--summary`/`--obs-baseline` may be omitted **together** for
 //! bench-only gating — any timing document with `jobs`,
 //! `logical_cpus`, `stages[{path, total_ms}]` and `wall_seconds`
-//! (`BENCH_parallel.json`, `BENCH_scale.json`) works as `--bench`:
-//!
-//! ```text
-//! obs_gate --bench results/BENCH_scale.json
-//!          --bench-baseline results/BASELINE_scale.json
-//! ```
+//! (`BENCH_parallel.json`, `BENCH_scale.json`) works as `--bench`.
 
 use mmog_obs_analyze::gate::{
     check_bench, check_obs, make_bench_baseline, make_obs_baseline, BenchThresholds, GateOutcome,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+Usage: obs_gate --summary OBS_summary.json --bench BENCH_parallel.json
+                --obs-baseline results/BASELINE_obs.json
+                --bench-baseline results/BASELINE_bench.json
+                [--max-slowdown-pct 25] [--min-stage-ms 50]
+                [--max-p99-slowdown-pct 100] [--min-p99-us 20]
+                [--strict-paths] [--update] [--suite quick]
+       obs_gate --bench results/BENCH_scale.json
+                --bench-baseline results/BASELINE_scale.json
+";
 
 struct Opts {
     /// `None` in bench-only mode (`--obs-baseline` must be absent too).
@@ -45,7 +42,8 @@ struct Opts {
     suite: String,
 }
 
-fn parse_args() -> Result<Opts, String> {
+/// The parsed flags, or `None` when `--help` asked for the usage.
+fn parse_args() -> Result<Option<Opts>, String> {
     let mut args = std::env::args().skip(1);
     let mut summary = None;
     let mut bench = None;
@@ -84,6 +82,7 @@ fn parse_args() -> Result<Opts, String> {
             "--strict-paths" => thresholds.strict_paths = true,
             "--update" => update = true,
             "--suite" => suite = value("--suite")?,
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -93,7 +92,7 @@ fn parse_args() -> Result<Opts, String> {
                 .into(),
         );
     }
-    Ok(Opts {
+    Ok(Some(Opts {
         summary,
         bench: bench.ok_or("missing --bench")?,
         obs_baseline,
@@ -101,7 +100,7 @@ fn parse_args() -> Result<Opts, String> {
         thresholds,
         update,
         suite,
-    })
+    }))
 }
 
 fn read(path: &PathBuf) -> Result<String, String> {
@@ -140,7 +139,14 @@ fn run(opts: &Opts) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    match parse_args().and_then(|opts| run(&opts)) {
+    let outcome = parse_args().and_then(|opts| match opts {
+        Some(opts) => run(&opts),
+        None => {
+            print!("{USAGE}");
+            Ok(true)
+        }
+    });
+    match outcome {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {

@@ -11,12 +11,10 @@
 //! so a concurrent reader never observes a torn file.
 //!
 //! The document (schema [`LIVE_SCHEMA`]) keeps the crate's
-//! semantic/timing split: allocation state, shortfall and per-center
-//! utilization are semantic; tick rate, stage p99s and the memo skip
-//! rate are execution-dependent and live in the `timing` section that
-//! determinism comparisons drop (the skip rate keys on the
-//! process-wide availability epoch, so it moves with `--jobs` even
-//! though the run's semantic output does not).
+//! semantic/timing split: allocation state, shortfall, the memo skip
+//! rate and per-center utilization are semantic; tick rate and stage
+//! p99s are execution-dependent and live in the `timing` section that
+//! determinism comparisons drop.
 
 use crate::json::Value;
 use std::path::{Path, PathBuf};
@@ -82,9 +80,7 @@ pub struct LiveSnapshot {
     pub alloc_cpu: f64,
     /// Unmet CPU demand this tick.
     pub shortfall_cpu: f64,
-    /// Fraction of groups whose match was memo-skipped this tick
-    /// (timing: replay eligibility keys on the process-wide
-    /// availability epoch, so the fraction is execution-dependent).
+    /// Fraction of groups whose match was memo-skipped this tick.
     pub match_skip_rate: f64,
     /// Leases currently held across all groups.
     pub leases_held: u64,
@@ -122,6 +118,10 @@ impl LiveSnapshot {
             ("demand_cpu".to_string(), Value::Num(self.demand_cpu)),
             ("alloc_cpu".to_string(), Value::Num(self.alloc_cpu)),
             ("shortfall_cpu".to_string(), Value::Num(self.shortfall_cpu)),
+            (
+                "match_skip_rate".to_string(),
+                Value::Num(self.match_skip_rate),
+            ),
             ("leases_held".to_string(), Value::UInt(self.leases_held)),
             ("fault_events".to_string(), Value::UInt(self.fault_events)),
             (
@@ -133,10 +133,6 @@ impl LiveSnapshot {
         ]);
         let timing = Value::Obj(vec![
             ("tick_rate".to_string(), Value::Num(self.tick_rate)),
-            (
-                "match_skip_rate".to_string(),
-                Value::Num(self.match_skip_rate),
-            ),
             (
                 "stage_p99_us".to_string(),
                 Value::Obj(
@@ -195,7 +191,12 @@ pub fn validate_live(value: &Value) -> Result<(), String> {
         .get("semantic")
         .and_then(Value::as_obj)
         .ok_or("missing semantic section")?;
-    for gauge in ["demand_cpu", "alloc_cpu", "shortfall_cpu"] {
+    for gauge in [
+        "demand_cpu",
+        "alloc_cpu",
+        "shortfall_cpu",
+        "match_skip_rate",
+    ] {
         let v = semantic
             .iter()
             .find(|(n, _)| n == gauge)
@@ -237,10 +238,8 @@ pub fn validate_live(value: &Value) -> Result<(), String> {
         .get("timing")
         .and_then(Value::as_obj)
         .ok_or("missing timing section")?;
-    for rate in ["tick_rate", "match_skip_rate"] {
-        if !timing.iter().any(|(n, _)| n == rate) {
-            return Err(format!("timing.{rate} missing"));
-        }
+    if !timing.iter().any(|(n, _)| n == "tick_rate") {
+        return Err("timing.tick_rate missing".to_string());
     }
     Ok(())
 }

@@ -248,15 +248,17 @@ pub struct SimReport {
     pub timing: RunTiming,
 }
 
-/// The wall-clock side of one run: its own stage latency distributions
-/// and match-memo split, free of any concurrent run's records. The
-/// process registry receives the same data when the run ends.
+/// The run-local instruments of one run: its own stage latency
+/// distributions and match-memo split, free of any concurrent run's
+/// records. The process registry receives the same data when the run
+/// ends.
 #[derive(Debug, Clone)]
 pub struct RunTiming {
     /// `sim/run/*` stage latency distributions, sorted by path.
     pub latency: Vec<(String, LatencySnapshot)>,
-    /// Settle calls the match memo replayed. Timing domain: the memo
-    /// keys on the process-global availability epoch.
+    /// Settle calls the match memo replayed. Deterministic: the memo
+    /// keys only on this run's state, so the count is the same at any
+    /// `--jobs`.
     pub match_skips: u64,
     /// Settle calls that walked the candidates.
     pub match_full: u64,
@@ -465,11 +467,7 @@ struct RunObserver {
     /// comparable against old baselines.
     skip_latency: LatencyHisto,
     tick_latency: LatencyHisto,
-    /// Memo hit accounting. Timing domain on purpose: the memo keys on
-    /// the process-global availability epoch, so parallel faulted
-    /// experiments interleave epoch bumps differently across `--jobs`
-    /// and the split between skipped and full walks is not jobs-stable.
-    /// The grants themselves are (replay is an exact no-op).
+    /// Memo hit accounting: settle calls replayed vs walked.
     memo_skips: u64,
     memo_full: u64,
 }
@@ -639,11 +637,7 @@ impl RunObserver {
         let t = tick.t;
         self.tick_latency.record(tick.tick_ns);
         // The skip rate is this tick's memo-replay fraction (zero with
-        // no settle stage). It is a timing series, like the
-        // `sim.match.skips` counter: memo replays key on the
-        // process-wide availability epoch, so a concurrent run's fault
-        // can demote a replay to an (equally no-op) full walk without
-        // any semantic output changing.
+        // no settle stage).
         let settled = tick.skips + tick.full;
         let skip_rate = if settled > 0 {
             tick.skips as f64 / settled as f64
@@ -654,7 +648,7 @@ impl RunObserver {
             ts.record_semantic("demand_cpu", tick.demand.cpu);
             ts.record_semantic("alloc_cpu", tick.alloc.cpu);
             ts.record_semantic("shortfall_cpu", tick.shortfall.cpu);
-            ts.record_timing("match_skip_rate", skip_rate);
+            ts.record_semantic("match_skip_rate", skip_rate);
             ts.record_timing("predict_ns", tick.predict_ns as f64);
             ts.record_timing("reduce_ns", tick.reduce_ns as f64);
             ts.record_timing("settle_ns", tick.settle_ns.unwrap_or(0) as f64);
@@ -791,8 +785,8 @@ impl RunObserver {
             (path.to_string(), snap)
         })
         .collect();
-        mmog_obs::counter("sim.match.skips", Domain::Timing).add(self.memo_skips);
-        mmog_obs::counter("sim.match.full", Domain::Timing).add(self.memo_full);
+        mmog_obs::counter("sim.match.skips", Domain::Semantic).add(self.memo_skips);
+        mmog_obs::counter("sim.match.full", Domain::Semantic).add(self.memo_full);
         let timing = RunTiming {
             latency,
             match_skips: self.memo_skips,
@@ -1398,7 +1392,7 @@ impl Simulation {
             }
             match ev.kind {
                 FaultKind::CenterDown => {
-                    let lost = self.centers[c].fail().len();
+                    let lost = self.centers[c].fail(&mut self.topology).len();
                     self.tally.leases_revoked += lost as u64;
                     for gi in 0..self.groups.len() {
                         self.drain(gi, c, ReleaseCause::CenterDown, t, obs);
@@ -1409,12 +1403,12 @@ impl Simulation {
                         "leases_lost" => lost);
                 }
                 FaultKind::CenterUp => {
-                    self.centers[c].repair();
+                    self.centers[c].repair(&mut self.topology);
                     let name = self.centers[c].spec.name.as_str();
                     emit!(obs, "center_up", "tick" => t, "center" => c, "name" => name);
                 }
                 FaultKind::CenterDegraded { fraction } => {
-                    self.centers[c].degrade(fraction);
+                    self.centers[c].degrade(&mut self.topology, fraction);
                     emit!(obs, "center_degraded", "tick" => t, "center" => c,
                         "fraction" => fraction);
                 }

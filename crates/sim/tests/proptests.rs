@@ -119,8 +119,12 @@ proptest! {
         // through an identical random demand/fault sequence. Every
         // observable must agree exactly: outcomes grant-for-grant, the
         // allocation vector bitwise, and the lease ledgers structurally.
+        // One topology per platform, held across steps: it carries the
+        // availability epoch the memo must see move on every fault.
         let mut centers_on = one_center(50, hp);
         let mut centers_off = one_center(50, hp);
+        let mut topo_on = nominal(&centers_on);
+        let mut topo_off = nominal(&centers_off);
         let mut p_on = provisioner(UpdateModel::Quadratic);
         let mut p_off = provisioner(UpdateModel::Quadratic);
         p_off.memo_enabled = false;
@@ -133,27 +137,27 @@ proptest! {
                 6 => {
                     // Center outage: leases revoked on both sides, the
                     // way the engine's fault plane does it.
-                    let _ = centers_on[0].fail();
-                    let _ = centers_off[0].fail();
+                    let _ = centers_on[0].fail(&mut topo_on);
+                    let _ = centers_off[0].fail(&mut topo_off);
                     let _ = p_on.drop_leases_at_center(0);
                     let _ = p_off.drop_leases_at_center(0);
                 }
                 7 => {
-                    centers_on[0].repair();
-                    centers_off[0].repair();
+                    centers_on[0].repair(&mut topo_on);
+                    centers_off[0].repair(&mut topo_off);
                 }
                 8 => {
                     let frac = (value / 2200.0).clamp(0.05, 1.0);
-                    centers_on[0].degrade(frac);
-                    centers_off[0].degrade(frac);
+                    centers_on[0].degrade(&mut topo_on, frac);
+                    centers_off[0].degrade(&mut topo_off, frac);
                 }
                 _ => {} // hold demand: the memo's bread and butter
             }
             let t_on = p_on.observe_and_target(players);
             let t_off = p_off.observe_and_target(players);
             prop_assert_eq!(format!("{t_on:?}"), format!("{t_off:?}"));
-            let o_on = p_on.adjust(&nominal(&centers_on), &t_on, &mut centers_on, now);
-            let o_off = p_off.adjust(&nominal(&centers_off), &t_off, &mut centers_off, now);
+            let o_on = p_on.adjust(&topo_on, &t_on, &mut centers_on, now);
+            let o_off = p_off.adjust(&topo_off, &t_off, &mut centers_off, now);
             prop_assert!(!o_off.replayed, "memo disabled yet replayed");
             replays += u32::from(o_on.replayed);
             // Same outcome, modulo the diagnostic replay flag.

@@ -318,27 +318,30 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut cfg = EmulatorConfig::default();
-        cfg.grid = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.peak_entities = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.world_size = -1.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.aoi_radius = -0.1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.npc_ratio = -0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.hotspots = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.teams = 0;
-        assert!(cfg.validate().is_err());
+        let d = EmulatorConfig::default;
+        for cfg in [
+            EmulatorConfig { grid: 0, ..d() },
+            EmulatorConfig {
+                peak_entities: 0,
+                ..d()
+            },
+            EmulatorConfig {
+                world_size: -1.0,
+                ..d()
+            },
+            EmulatorConfig {
+                aoi_radius: -0.1,
+                ..d()
+            },
+            EmulatorConfig {
+                npc_ratio: -0.5,
+                ..d()
+            },
+            EmulatorConfig { hotspots: 0, ..d() },
+            EmulatorConfig { teams: 0, ..d() },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -187,7 +187,8 @@ mod tests {
 
     #[test]
     fn subzone_pairs_formula() {
-        assert_eq!(count_pairs_subzone(&[0, 1, 2, 3]), 0 + 0 + 1 + 3);
+        // C(0,2) + C(1,2) + C(2,2) + C(3,2) = 0 + 0 + 1 + 3.
+        assert_eq!(count_pairs_subzone(&[0, 1, 2, 3]), 4);
         assert_eq!(count_pairs_subzone(&[]), 0);
         assert_eq!(count_pairs_subzone(&[10]), 45);
     }
